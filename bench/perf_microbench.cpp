@@ -293,9 +293,12 @@ BENCHMARK(BM_RngGenerateBlock)
 
 // The uniform operand fill the block RNG accelerates end to end: one batch
 // of 64 * lane_words operand pairs into bit-planes.  Args: (width,
-// lane_words, backend).  Compare with BM_RngFillBatchPerCallReference, which
-// re-implements the PR 4 per-call fill (one std::mt19937_64 draw per limb)
-// on the same shapes — the ratio is the operand-generation speedup.
+// lane_words, backend).  At 8 lane words the batch is the source's canonical
+// stream block, generated straight into the planes (the zero-copy rows);
+// other widths copy plane runs out of a buffered block.  Compare with
+// BM_RngFillBatchPerCallReference, which re-implements the original per-call
+// fill (one std::mt19937_64 draw per limb) on the same shapes — the ratio is
+// the operand-generation speedup.
 void BM_RngFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
@@ -311,7 +314,8 @@ void BM_RngFillBatch(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_RngFillBatch)
-    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1});
+    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1})
+    ->Args({64, 8, 1})->Args({512, 8, 1});
 
 /// The PR 6 Gaussian operand source, reproduced as the baseline: one
 /// std::normal_distribution draw per operand through the per-sample next()

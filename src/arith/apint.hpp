@@ -47,6 +47,10 @@ class ApInt {
   /// length must not exceed `width`.
   [[nodiscard]] static ApInt from_binary(int width, const std::string& bits);
 
+  /// Value built from `limbs` (little-endian, exactly the width's limb
+  /// count); bits above `width` in the top limb are cleared.
+  [[nodiscard]] static ApInt from_limbs(int width, std::span<const std::uint64_t> limbs);
+
   /// Uniformly random `width`-bit pattern: one rng draw per limb, in limb
   /// order, top limb masked.  (BlockRng is sequence-identical to
   /// std::mt19937_64, so values are unchanged from the std-engine era.)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -25,64 +26,77 @@ void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   }
 }
 
+void UniformUnsignedSource::refill_block(BlockRng& rng) {
+  const std::size_t words = static_cast<std::size_t>(2 * kBlockLaneWords) *
+                            static_cast<std::size_t>(width());
+  block_.resize(words);
+  rng.generate_block(block_.data(), words);
+  block_column_ = 0;
+}
+
 std::pair<ApInt, ApInt> UniformUnsignedSource::next(BlockRng& rng) {
-  return {ApInt::random(width(), rng), ApInt::random(width(), rng)};
+  const int n = width();
+  const int limbs = (n + ApInt::kLimbBits - 1) / ApInt::kLimbBits;
+  if (column_lane_ == kBatchLanes) {
+    // Transpose the block's next 64-sample column back to rows, one 64x64
+    // block per (operand, limb); bit rows beyond the width stay zero.
+    if (block_column_ == kBlockLaneWords) refill_block(rng);
+    column_.resize(static_cast<std::size_t>(2 * kBatchLanes * limbs));
+    const std::size_t op_words = static_cast<std::size_t>(kBlockLaneWords) * n;
+    for (int op = 0; op < 2; ++op) {
+      const std::uint64_t* planes = block_.data() + op * op_words;
+      for (int limb = 0; limb < limbs; ++limb) {
+        std::uint64_t rows[kBatchLanes] = {};
+        const int base = limb * ApInt::kLimbBits;
+        const int top = std::min(n - base, ApInt::kLimbBits);
+        for (int bit = 0; bit < top; ++bit) {
+          rows[bit] = planes[static_cast<std::size_t>(base + bit) * kBlockLaneWords +
+                             static_cast<std::size_t>(block_column_)];
+        }
+        transpose_64x64(rows);
+        for (int lane = 0; lane < kBatchLanes; ++lane) {
+          column_[static_cast<std::size_t>((op * kBatchLanes + lane) * limbs + limb)] =
+              rows[lane];
+        }
+      }
+    }
+    ++block_column_;
+    column_lane_ = 0;
+  }
+  const std::size_t lane = static_cast<std::size_t>(column_lane_++);
+  const std::size_t limb_count = static_cast<std::size_t>(limbs);
+  const std::span<const std::uint64_t> rows(column_);
+  return {ApInt::from_limbs(n, rows.subspan(lane * limb_count, limb_count)),
+          ApInt::from_limbs(n, rows.subspan((kBatchLanes + lane) * limb_count, limb_count))};
 }
 
 void UniformUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("UniformUnsignedSource::fill_batch: batch width mismatch");
   }
-  // Mirror of out.lanes() x next(): per sample, a's limbs then b's limbs, one
-  // rng word per limb in limb order, top limb masked — exactly ApInt::random's
-  // consumption — but the whole lane-word group's words come from ONE
-  // generate_block() call (the block RNG's SIMD twist + batched tempering),
-  // then get deinterleaved into per-limb 64x64 transpose blocks and written
-  // straight into the bit-planes.  Member scratch: no allocation after the
-  // first batch.
+  column_lane_ = kBatchLanes;  // the stream contract's discard rule
   const int n = width();
   const int lane_words = out.lane_words();
-  const int limbs = (n + ApInt::kLimbBits - 1) / ApInt::kLimbBits;
-  const int top_bits = n - (limbs - 1) * ApInt::kLimbBits;
-  const std::uint64_t top_mask =
-      top_bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << top_bits) - 1);
-  const std::size_t group_words = static_cast<std::size_t>(2 * limbs) * 64;
-  stream_.resize(group_words);
-  rows_.resize(group_words);
-  for (int w = 0; w < lane_words; ++w) {
-    rng.generate_block(stream_.data(), group_words);
-    if (limbs == 1) {
-      // Single-limb fast path (every width <= 64): the stream is simply
-      // a0 b0 a1 b1 ..., a two-way deinterleave with the width mask applied
-      // on the way through.
-      for (int j = 0; j < kBatchLanes; ++j) {
-        rows_[static_cast<std::size_t>(j)] = stream_[static_cast<std::size_t>(2 * j)] & top_mask;
-        rows_[static_cast<std::size_t>(64 + j)] =
-            stream_[static_cast<std::size_t>(2 * j + 1)] & top_mask;
-      }
-    } else {
-      // Sample j's words sit at stream_[j*2*limbs ..]; scatter them into the
-      // (op, limb) blocks the transpose wants, masking top limbs in place.
-      for (int j = 0; j < kBatchLanes; ++j) {
-        const std::uint64_t* sample = stream_.data() + static_cast<std::size_t>(j) * 2 * limbs;
-        for (int op = 0; op < 2; ++op) {
-          for (int limb = 0; limb < limbs; ++limb) {
-            std::uint64_t word = sample[op * limbs + limb];
-            if (limb == limbs - 1) word &= top_mask;
-            rows_[static_cast<std::size_t>((op * limbs + limb) * 64 + j)] = word;
-          }
-        }
-      }
-    }
+  const std::size_t op_words = static_cast<std::size_t>(kBlockLaneWords) * n;
+  if (lane_words == kBlockLaneWords && block_column_ == kBlockLaneWords) {
+    // The canonical block is the batch's own plane layout: no copy at all.
+    rng.generate_block(out.a(), op_words);
+    rng.generate_block(out.b(), op_words);
+    return;
+  }
+  for (int w = 0; w < lane_words;) {
+    if (block_column_ == kBlockLaneWords) refill_block(rng);
+    const int run = std::min(lane_words - w, kBlockLaneWords - block_column_);
     for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      for (int limb = 0; limb < limbs; ++limb) {
-        std::uint64_t* block =
-            rows_.data() + static_cast<std::size_t>(op * limbs + limb) * 64;
-        transpose_64x64(block);
-        block_to_planes(block, limb, n, planes, lane_words, w);
+      const std::uint64_t* src = block_.data() + op * op_words + block_column_;
+      std::uint64_t* dst = (op == 0 ? out.a() : out.b()) + w;
+      for (int bit = 0; bit < n; ++bit) {
+        std::copy_n(src + static_cast<std::size_t>(bit) * kBlockLaneWords, run,
+                    dst + static_cast<std::size_t>(bit) * lane_words);
       }
     }
+    w += run;
+    block_column_ += run;
   }
 }
 

@@ -32,13 +32,19 @@ class OperandSource {
   /// Draws the next operand pair.
   virtual std::pair<ApInt, ApInt> next(BlockRng& rng) = 0;
 
-  /// Draws the next out.lanes() (= 64 * lane_words) operand pairs and
-  /// transposes them into bit-planes.  CONTRACT: consumes the RNG exactly
-  /// like out.lanes() successive next() calls and produces the same samples
-  /// (lane j = the j-th pair) — this is what keeps the batched Monte Carlo
-  /// path bit-identical to the scalar one at every lane width.  The default
-  /// implementation literally calls next(); overrides may generate straight
-  /// into the planes as long as the stream is preserved.
+  /// Draws the next out.lanes() (= 64 * lane_words) operand pairs into
+  /// bit-planes (lane j = the j-th pair).  CONTRACT, at block granularity:
+  /// whole fill_batch() calls at any lane width, followed by any number of
+  /// next() calls, yield exactly the samples of the same number of next()
+  /// calls alone and leave the RNG at the same position.  Sources may draw
+  /// ahead in whole blocks (the Gaussian ziggurat buffers 624 words, the
+  /// uniform source one 512-sample block), so the RNG position tracks
+  /// blocks, not samples.  This is what keeps the batched Monte Carlo path
+  /// bit-identical to the scalar one at every lane width and thread count.
+  /// A source whose next() serves a 64-sample column at a time
+  /// (UniformUnsignedSource) adds one rule: a fill_batch() that follows a
+  /// partly consumed next() column discards the rest of that column.  The
+  /// default implementation calls next() lanes() times.
   virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out);
 
   /// Fresh source of the same distribution with pristine stream state (any
@@ -51,25 +57,45 @@ class OperandSource {
 };
 
 /// Uniformly random n-bit patterns ("unsigned random inputs", Ch. 3).
+///
+/// The RNG stream is defined in bit-plane order (stream version
+/// uniform-rng-v3).  Its unit is one canonical block of 512 samples: the
+/// 8 * n words of a's bit-planes, laid out [bit][8] exactly like the a()
+/// planes of an 8-lane-word BitSlicedBatch, then the 8 * n words of b's
+/// planes, drawn by generate_block().  Every bit of every word is an
+/// independent uniform bit, so each operand is uniform over [0, 2^n), and
+/// the RNG consumes exactly 2 * n words per 64 samples at any width.
+///
+///  * fill_batch() at 8 lane words (the avx512 default) is two
+///    generate_block() calls written directly into out.a() and out.b().
+///  * fill_batch() at other lane widths copies contiguous [bit] runs of
+///    lane words out of one buffered block (16 * n words).
+///  * next() is the derived view: once per 64 samples it transposes the
+///    next column of the buffered block back to rows, then serves one row
+///    per call.
+///
+/// The buffer is allocated only when next() or a non-canonical lane width
+/// needs it.
 class UniformUnsignedSource final : public OperandSource {
  public:
   explicit UniformUnsignedSource(int width) : OperandSource(width) {}
   [[nodiscard]] std::string name() const override { return "uniform-unsigned"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: one generate_block() per lane-word group fills the raw limb
-  /// stream directly (same word order as ApInt::random — per sample, a's
-  /// limbs then b's limbs — so the stream contract holds), then the words
-  /// are deinterleaved into per-limb 64x64 blocks, masked, transposed, and
-  /// written straight into the bit-planes.  No per-sample draw loop and no
-  /// heap ApInts — this is the direct-to-plane path the block RNG enables.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
+  /// Pristine stream state: the clone's buffered block and column are empty.
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<UniformUnsignedSource>(width());
   }
 
  private:
-  std::vector<std::uint64_t> stream_;  // fill_batch raw block-RNG draw scratch
-  std::vector<std::uint64_t> rows_;    // fill_batch transpose scratch
+  static constexpr int kBlockLaneWords = 8;  // lane words per stream block (512 samples)
+
+  void refill_block(BlockRng& rng);
+
+  std::vector<std::uint64_t> block_;  // buffered block: a planes [bit][8], then b planes
+  int block_column_ = kBlockLaneWords;  // next unread lane word of block_ (8 = none)
+  std::vector<std::uint64_t> column_;   // next(): current column as rows, [op][lane][limb]
+  int column_lane_ = kBatchLanes;       // next unserved lane of column_ (64 = none)
 };
 
 /// Two's-complement uniform inputs (Fig 6.3): a uniformly random magnitude

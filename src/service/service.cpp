@@ -168,14 +168,32 @@ const char* tier_name(ResultCache::Tier tier) {
 /// GaussianUnsignedSource/GaussianTwosSource from per-sample
 /// std::normal_distribution onto the block ziggurat
 /// (arith::GaussianBlockSampler), which redefines every Gaussian-input
-/// counter.  Applies to error-rate experiments AND distribution chain
-/// profiles with a Gaussian dist; uniform streams were untouched by that
-/// swap and stay unversioned (keys unchanged).
+/// counter.
 constexpr const char* kGaussStreamVersion = "gauss-rng-v2";
 
-bool gaussian_dist(arith::InputDistribution dist) {
-  return dist == arith::InputDistribution::kGaussianUnsigned ||
-         dist == arith::InputDistribution::kGaussianTwos;
+/// Stream version of the unsigned uniform operand stream.  v3 is the move
+/// of UniformUnsignedSource to a plane-order stream (one generate_block per
+/// operand's bit-planes of a 512-sample block), which redefines every
+/// uniform-unsigned counter and chain histogram.
+constexpr const char* kUniformStreamVersion = "uniform-rng-v3";
+
+/// The stream version of an operand distribution's records and keys, for
+/// error-rate experiments AND distribution chain profiles.  Two's-complement
+/// uniform streams never changed and stay unversioned (keys unchanged).
+const char* stream_version(arith::InputDistribution dist) {
+  switch (dist) {
+    case arith::InputDistribution::kUniformUnsigned: return kUniformStreamVersion;
+    case arith::InputDistribution::kGaussianUnsigned:
+    case arith::InputDistribution::kGaussianTwos: return kGaussStreamVersion;
+    case arith::InputDistribution::kUniformTwos: return "";
+  }
+  return "";
+}
+
+/// Adds the "stream_version" field when `version` is set: records from an
+/// incompatible sampler or seeding era must miss, not hit stale.
+void add_stream_version(JsonObject& record, const char* version) {
+  if (*version != '\0') record.add("stream_version", version);
 }
 
 // The cached result record: a pure function of (experiment, samples, seed,
@@ -196,9 +214,7 @@ std::string error_rate_record(const harness::ErrorRateExperiment& experiment,
   record.add("samples", result.samples);
   record.add("seed", seed);
   record.add("eval_path", to_string(path));
-  // Gaussian experiments are stream-versioned (see kGaussStreamVersion):
-  // records from an incompatible sampler era must miss, not hit stale.
-  if (gaussian_dist(experiment.dist)) record.add("stream_version", kGaussStreamVersion);
+  add_stream_version(record, stream_version(experiment.dist));
   record.add("actual_errors", result.actual_errors);
   record.add("nominal_errors", result.nominal_errors);
   record.add("false_negatives", result.false_negatives);
@@ -216,9 +232,13 @@ std::string error_rate_record(const harness::ErrorRateExperiment& experiment,
 /// their internal draw streams change incompatibly — v2 is the move of
 /// run_crypto_workload's seeding onto the shared seed_seq discipline
 /// (arith::make_stream_rng) that shipped with the BlockRng subsystem.
-/// Distribution profiles and every error-rate experiment are sequence-
-/// identical across that swap and stay unversioned (keys unchanged).
 constexpr const char* kCryptoStreamVersion = "crypto-rng-v2";
+
+const char* stream_version(const harness::ChainProfileExperiment& experiment) {
+  return experiment.workload == harness::ChainProfileExperiment::Workload::kCrypto
+             ? kCryptoStreamVersion
+             : stream_version(experiment.dist);
+}
 
 std::string chain_profile_record(const harness::ChainProfileExperiment& experiment,
                                  std::uint64_t samples, std::uint64_t seed,
@@ -237,14 +257,7 @@ std::string chain_profile_record(const harness::ChainProfileExperiment& experime
   // Chain profiling has no batched pipeline; key the scalar path so the
   // cache key shape is uniform across both families.
   record.add("eval_path", to_string(harness::EvalPath::kScalar));
-  // Crypto workloads are stream-versioned (see kCryptoStreamVersion), and so
-  // are Gaussian distribution profiles (see kGaussStreamVersion): records
-  // from an incompatible seeding/sampler era must miss, not hit stale.
-  if (crypto) {
-    record.add("stream_version", kCryptoStreamVersion);
-  } else if (gaussian_dist(experiment.dist)) {
-    record.add("stream_version", kGaussStreamVersion);
-  }
+  add_stream_version(record, stream_version(experiment));
   record.add("additions", profiler.additions());
   record.add("chains", profiler.total());
   record.add("mean_chain_length", profiler.mean_length());
@@ -555,14 +568,8 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
                                              : chain_profile->default_samples);
   key.seed = run.seed;
   key.eval_path = to_string(error_rate != nullptr ? run.path : harness::EvalPath::kScalar);
-  if (chain_profile != nullptr &&
-      chain_profile->workload == harness::ChainProfileExperiment::Workload::kCrypto) {
-    key.stream_version = kCryptoStreamVersion;
-  } else if (chain_profile != nullptr && gaussian_dist(chain_profile->dist)) {
-    key.stream_version = kGaussStreamVersion;
-  } else if (error_rate != nullptr && gaussian_dist(error_rate->dist)) {
-    key.stream_version = kGaussStreamVersion;
-  }
+  key.stream_version = error_rate != nullptr ? stream_version(error_rate->dist)
+                                             : stream_version(*chain_profile);
 
   // Cancellation wears two hats: a fired per-request deadline (timeout) or
   // a server drain cancelling in-flight runs at its deadline (draining —

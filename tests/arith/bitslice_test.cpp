@@ -1,8 +1,9 @@
 // Tests for the bit-sliced batch layer: the 64x64 bit-matrix transpose, the
 // ApInt <-> bit-plane conversions, the word-level Kogge-Stone prefix, and
-// the OperandSource::fill_batch stream contract (fill_batch must consume
-// the RNG exactly like 64 next() calls and produce the same samples — the
-// foundation of the batched pipeline's bit-identical-counters guarantee).
+// the OperandSource::fill_batch stream contract (a run of fill_batch calls
+// must produce the same samples as the same number of next() calls and
+// leave the RNG at the same block position — the foundation of the batched
+// pipeline's bit-identical-counters guarantee).
 
 #include "arith/bitslice.hpp"
 
@@ -223,7 +224,66 @@ INSTANTIATE_TEST_SUITE_P(
                                          InputDistribution::kGaussianUnsigned,
                                          InputDistribution::kGaussianTwos),
                        ::testing::Values(12, 32, 64, 128),
-                       ::testing::Values(1, 2, 4)));
+                       ::testing::Values(1, 2, 4, 8)));
+
+// The uniform source's plane-order stream at every lane width: whole runs
+// of batches reproduce the next() sequence sample for sample, across
+// canonical-block boundaries (3072 samples, six blocks, per case).
+class UniformStreamTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(UniformStreamTest, BatchRunMatchesNextSequence) {
+  const auto [width, lane_words] = GetParam();
+  UniformUnsignedSource batch_source(width), scalar_source(width);
+  BlockRng rng_batch(17), rng_scalar(17);
+  BitSlicedBatch batch(width, lane_words);
+  const int batches = 3072 / batch.lanes();
+  for (int k = 0; k < batches; ++k) {
+    batch_source.fill_batch(rng_batch, batch);
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const auto [a, b] = scalar_source.next(rng_scalar);
+      const auto [la, lb] = batch.lane(j);
+      ASSERT_EQ(la, a) << "width " << width << " W " << lane_words << " batch " << k
+                       << " lane " << j;
+      ASSERT_EQ(lb, b) << "width " << width << " W " << lane_words << " batch " << k
+                       << " lane " << j;
+    }
+  }
+  EXPECT_EQ(rng_batch.words_drawn(), rng_scalar.words_drawn());
+  EXPECT_EQ(rng_batch(), rng_scalar());
+}
+
+INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, UniformStreamTest,
+                         ::testing::Combine(::testing::Values(1, 31, 64, 65, 100, 512),
+                                            ::testing::Values(1, 2, 4, 8, 16)));
+
+// The discard rule: after k next() calls, fill_batch starts at the next
+// 64-sample column boundary, i.e. at stream sample ceil(k / 64) * 64.
+TEST(UniformStreamTest, FillBatchAfterPartialColumnDiscardsItsRest) {
+  constexpr int kWidth = 65;
+  for (const int lane_words : {1, 4, 8}) {
+    for (const int k : {0, 1, 63, 64, 65, 200, 511, 512, 513}) {
+      UniformUnsignedSource mixed(kWidth), reference(kWidth);
+      BlockRng rng_mixed(23), rng_reference(23);
+      std::vector<std::pair<ApInt, ApInt>> stream;
+      const int start = (k + kBatchLanes - 1) / kBatchLanes * kBatchLanes;
+      for (int i = 0; i < start + 64 * lane_words; ++i) {
+        stream.push_back(reference.next(rng_reference));
+      }
+      for (int i = 0; i < k; ++i) {
+        ASSERT_EQ(mixed.next(rng_mixed), stream[static_cast<std::size_t>(i)]) << "k " << k;
+      }
+      BitSlicedBatch batch(kWidth, lane_words);
+      mixed.fill_batch(rng_mixed, batch);
+      for (int j = 0; j < batch.lanes(); ++j) {
+        ASSERT_EQ(batch.lane(j), stream[static_cast<std::size_t>(start + j)])
+            << "W " << lane_words << " k " << k << " lane " << j;
+      }
+      // next() resumes right after the batch.
+      ASSERT_EQ(mixed.next(rng_mixed), reference.next(rng_reference))
+          << "W " << lane_words << " k " << k;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace vlcsa::arith

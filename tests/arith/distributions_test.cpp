@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
+
+#include "arith/bitslice.hpp"
 
 namespace vlcsa::arith {
 namespace {
@@ -108,6 +114,109 @@ TEST(Distributions, GaussianTwosSignBalance) {
   }
   EXPECT_GT(negatives, n * 2 * 3 / 10);
   EXPECT_LT(negatives, n * 2 * 7 / 10);
+}
+
+// ---- UniformUnsignedSource plane-order stream (uniform-rng-v3) -----------
+
+TEST(UniformUnsignedStream, ConsumesTwoWordsPerBitPer64Samples) {
+  for (const int width : {1, 31, 64, 100, 512}) {
+    const std::uint64_t per_column = 2 * static_cast<std::uint64_t>(width);
+    for (const int lane_words : {1, 2, 4, 8, 16}) {
+      UniformUnsignedSource source(width);
+      BlockRng rng(5);
+      BitSlicedBatch batch(width, lane_words);
+      for (int samples = 0; samples < 1024; samples += batch.lanes()) {
+        source.fill_batch(rng, batch);
+      }
+      EXPECT_EQ(rng.words_drawn(), 16 * per_column) << "width " << width << " W " << lane_words;
+    }
+    // next() draws whole canonical blocks (8 columns) as it needs them.
+    UniformUnsignedSource source(width);
+    BlockRng rng(5);
+    (void)source.next(rng);
+    EXPECT_EQ(rng.words_drawn(), 8 * per_column) << "width " << width;
+    for (int i = 1; i < 512; ++i) (void)source.next(rng);
+    EXPECT_EQ(rng.words_drawn(), 8 * per_column) << "width " << width;
+    (void)source.next(rng);
+    EXPECT_EQ(rng.words_drawn(), 16 * per_column) << "width " << width;
+  }
+}
+
+TEST(UniformUnsignedStream, CloneDropsBufferedState) {
+  constexpr int kWidth = 100;
+  UniformUnsignedSource used(kWidth);
+  BlockRng warm(3);
+  for (int i = 0; i < 70; ++i) (void)used.next(warm);  // a block and a partial column
+  const auto clone = used.clone();
+  UniformUnsignedSource fresh(kWidth);
+  BlockRng rng_clone(4), rng_fresh(4);
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(clone->next(rng_clone), fresh.next(rng_fresh)) << "sample " << i;
+  }
+  // The same holds for a clone taken with a partly consumed block and then
+  // filled at a non-canonical width.
+  BitSlicedBatch partial(kWidth, 2);
+  used.fill_batch(warm, partial);
+  const auto batch_clone = used.clone();
+  BlockRng rng_a(6), rng_b(6);
+  BitSlicedBatch from_clone(kWidth, 4), from_fresh(kWidth, 4);
+  batch_clone->fill_batch(rng_a, from_clone);
+  UniformUnsignedSource(kWidth).fill_batch(rng_b, from_fresh);
+  EXPECT_TRUE(std::equal(from_clone.a(), from_clone.a() + kWidth * 4, from_fresh.a()));
+  EXPECT_TRUE(std::equal(from_clone.b(), from_clone.b() + kWidth * 4, from_fresh.b()));
+}
+
+// Every a and b bit-plane is filled, and with fresh bits: the ones-fraction
+// of each plane, and the agreement fraction of each plane with its
+// neighbour and with the other operand's plane, all lie within 5 sigma of
+// 1/2.  An unfilled plane (batch zeroed before every fill) or a plane
+// duplicated from another fails the bound.
+TEST(UniformUnsignedStream, EveryPlaneIsFilledWithFreshUniformBits) {
+  for (const int width : {1, 65, 512}) {
+    for (const int lane_words : {4, 8, 16}) {
+      UniformUnsignedSource source(width);
+      BlockRng rng(11);
+      BitSlicedBatch batch(width, lane_words);
+      const std::size_t words = static_cast<std::size_t>(width) * lane_words;
+      const int batches = 8192 / batch.lanes();
+      std::vector<std::uint64_t> ones(2 * static_cast<std::size_t>(width));
+      std::vector<std::uint64_t> differs(2 * static_cast<std::size_t>(width));
+      const auto popcount = [&](const std::uint64_t* x, const std::uint64_t* y) {
+        std::uint64_t count = 0;
+        for (int w = 0; w < lane_words; ++w) {
+          count += static_cast<std::uint64_t>(std::popcount(x[w] ^ (y ? y[w] : 0)));
+        }
+        return count;
+      };
+      for (int k = 0; k < batches; ++k) {
+        std::fill(batch.a(), batch.a() + words, 0);
+        std::fill(batch.b(), batch.b() + words, 0);
+        source.fill_batch(rng, batch);
+        for (int bit = 0; bit < width; ++bit) {
+          const std::uint64_t* a = batch.a() + static_cast<std::size_t>(bit) * lane_words;
+          const std::uint64_t* b = batch.b() + static_cast<std::size_t>(bit) * lane_words;
+          const std::size_t i = static_cast<std::size_t>(bit);
+          ones[2 * i] += popcount(a, nullptr);
+          ones[2 * i + 1] += popcount(b, nullptr);
+          differs[2 * i] += popcount(a, b);
+          // Neighbouring plane (wrapping to bit 0 on the top plane).
+          differs[2 * i + 1] +=
+              popcount(a, batch.a() + static_cast<std::size_t>((bit + 1) % width) * lane_words);
+        }
+      }
+      const double trials = 8192.0;
+      const double bound = 5.0 * std::sqrt(trials * 0.25);
+      for (std::size_t i = 0; i < ones.size(); ++i) {
+        EXPECT_LE(std::fabs(static_cast<double>(ones[i]) - trials / 2), bound)
+            << "width " << width << " W " << lane_words << " plane " << i / 2
+            << (i % 2 == 0 ? " (a)" : " (b)");
+        if (width == 1 && i % 2 == 1) continue;  // a single plane is its own neighbour
+        EXPECT_LE(std::fabs(static_cast<double>(differs[i]) - trials / 2), bound)
+            << "width " << width << " W " << lane_words << " plane " << i / 2
+            << (i % 2 == 0 ? " vs b" : " vs next a plane");
+      }
+    }
+  }
 }
 
 TEST(Distributions, ToStringIsStable) {

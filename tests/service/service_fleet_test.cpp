@@ -60,13 +60,15 @@ bool bool_field(const JsonValue& response, const char* name) {
 }
 
 /// The run key every request in this file resolves to (defaults: seed 1,
-/// batched path; the error-rate family carries no stream version).
+/// batched path; fig7.1 runs on the uniform-unsigned stream, version
+/// uniform-rng-v3).
 CacheKey error_rate_key(std::uint64_t samples) {
   CacheKey key;
   key.experiment = "fig7.1/n64-k6";
   key.samples = samples;
   key.seed = 1;
   key.eval_path = "batched";
+  key.stream_version = "uniform-rng-v3";
   return key;
 }
 

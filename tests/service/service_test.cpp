@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "harness/json.hpp"
+#include "service/cache.hpp"
 #include "service/server.hpp"
 
 namespace vlcsa::service {
@@ -154,6 +155,54 @@ TEST(ExperimentService, DiskHitAfterRestart) {
   ExperimentService service({dir, 64, 1});
   EXPECT_EQ(field(parse_reply(service.handle_line(kChainProfileRun)), "cache"), "hit-disk");
   EXPECT_EQ(field(parse_reply(service.handle_line(kChainProfileRun)), "cache"), "hit-memory");
+}
+
+TEST(ExperimentService, PreMigrationUniformDiskRecordIsRecomputedNotServed) {
+  // uniform-rng-v3 redefined the unsigned uniform operand stream, so a
+  // uniform-unsigned record stored before it (no "stream_version" field)
+  // is stale.  Whether it sits under its historical unversioned file name
+  // or under the versioned one, the request must miss and recompute.
+  const std::string dir = temp_dir("uniform_v3");
+  const std::string run =
+      R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000, "seed": 9, "eval_path": "batched"})";
+  const CacheKey unversioned{"fig7.1/n64-k6", 2000, 9, "batched", ""};
+  CacheKey versioned = unversioned;
+  versioned.stream_version = "uniform-rng-v3";
+  const std::string stale =
+      R"({"experiment": "fig7.1/n64-k6", "kind": "error-rate", "samples": 2000, "seed": 9, )"
+      R"("eval_path": "batched", "actual_errors": 123456789})";
+  {
+    const ResultCache paths(dir, 0);
+    for (const CacheKey& key : {unversioned, versioned}) {
+      std::ofstream out(paths.file_path(key), std::ios::trunc);
+      out << stale << "\n";
+    }
+  }
+
+  ExperimentService service({dir, 64, 1});
+  const JsonValue reply = parse_reply(service.handle_line(run));
+  EXPECT_EQ(field(reply, "status"), "ok");
+  EXPECT_EQ(field(reply, "cache"), "miss");
+  const JsonValue* record = reply.find("record");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(field(*record, "stream_version"), "uniform-rng-v3");
+  std::uint64_t errors = 0;
+  ASSERT_TRUE(record->find("actual_errors")->to_u64(errors));
+  EXPECT_NE(errors, 123456789u);
+
+  // The recomputed record replaced the stale one: a restarted service
+  // serves it from disk.
+  ExperimentService restarted({dir, 64, 1});
+  const JsonValue again = parse_reply(restarted.handle_line(run));
+  EXPECT_EQ(field(again, "cache"), "hit-disk");
+  std::uint64_t errors_again = 0;
+  ASSERT_TRUE(again.find("record")->find("actual_errors")->to_u64(errors_again));
+  EXPECT_EQ(errors_again, errors);
+
+  // Uniform chain profiles carry the same version.
+  const JsonValue profile = parse_reply(service.handle_line(kChainProfileRun));
+  ASSERT_NE(profile.find("record"), nullptr);
+  EXPECT_EQ(field(*profile.find("record"), "stream_version"), "uniform-rng-v3");
 }
 
 TEST(ExperimentService, DefaultSamplesAndExplicitDefaultShareOneKey) {

@@ -354,14 +354,14 @@ TEST(ExperimentService, AccessLogLinesParseStrictlyAndFlagSlowRequests) {
   ServiceConfig config;
   config.threads = 1;
   config.access_log = access_path;
-  config.slow_ms = 1;  // a cold 50k-sample run is well past 1 ms
+  config.slow_ms = 1;  // a cold 2M-sample run is well past 1 ms
   ExperimentService service(config);
   ASSERT_EQ(service.log_error(), "");
 
   EXPECT_TRUE(
       service
           .handle_line(
-              R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 50000})")
+              R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 2000000})")
           .ok);
   EXPECT_FALSE(service.handle_line(R"({"request": "describe"})").ok);
 
