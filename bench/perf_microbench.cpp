@@ -359,6 +359,29 @@ void BM_RngGaussianBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_RngGaussianBlock)->Arg(0)->Arg(1);
 
+// The Gaussian sources' fill_batch at the dispatch-aware default lane width
+// (the width the engine runs): block ziggurat variates, the inline encode,
+// one limb-0 transpose per (operand, lane word) and the batch-level
+// sign-extension (twos) or zero (unsigned) planes above bit 63.  Args:
+// (width, 1 = two's complement / 0 = unsigned).
+void BM_GaussianFillBatch(benchmark::State& state) {
+  const int width = static_cast<int>(state.range(0));
+  const bool twos = state.range(1) != 0;
+  auto source = arith::make_source(twos ? arith::InputDistribution::kGaussianTwos
+                                        : arith::InputDistribution::kGaussianUnsigned,
+                                   width);
+  arith::BitSlicedBatch batch(width, arith::default_lane_words());
+  arith::BlockRng rng(23);
+  for (auto _ : state) {
+    source->fill_batch(rng, batch);
+    benchmark::DoNotOptimize(batch.a());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch.lanes());
+  state.SetLabel(twos ? "twos" : "unsigned");
+}
+BENCHMARK(BM_GaussianFillBatch)->Args({64, 1})->Args({64, 0})->Args({512, 1})->Args({512, 0});
+
 void BM_RngGaussianPerCallReference(benchmark::State& state) {
   arith::BlockRng rng(19);
   std::normal_distribution<double> dist(0.0, 4294967296.0);

@@ -118,36 +118,104 @@ std::pair<ApInt, ApInt> UniformTwosSource::next(BlockRng& rng) {
 
 namespace {
 
-// Raw-word encode bodies shared by the ApInt wrappers below and the
-// direct-to-plane Gaussian fill paths (which build transpose blocks from
-// these words without touching the heap).
-
-std::int64_t signed_sample_to_i64(int width, double sample) {
-  const double rounded = std::nearbyint(sample);
-  if (width >= 64) {
-    // sigma = 2^32 keeps samples far inside int64 range (8 sigma < 2^36).
-    return static_cast<std::int64_t>(rounded);
-  }
-  const double lo = -std::ldexp(1.0, width - 1);
-  const double hi = std::ldexp(1.0, width - 1) - 1.0;
-  return static_cast<std::int64_t>(std::fmin(std::fmax(rounded, lo), hi));
+// Round half to even — equal to std::nearbyint under the default rounding
+// mode.  For |x| < 2^51, x + 1.5 * 2^52 lies in [2^52, 2^53), where doubles
+// are spaced exactly 1 apart, so the addition itself rounds x to an
+// integer.  Larger magnitudes (and NaN) take the libm call.  The one
+// difference, +0.0 where nearbyint keeps a -0.0, vanishes in the integer
+// encodings below.
+inline double round_to_integer(double x) {
+  constexpr double kShift = 0x1.8p52;
+  if (std::fabs(x) < 0x1p51) [[likely]] return (x + kShift) - kShift;
+  return std::nearbyint(x);
 }
 
-std::uint64_t unsigned_sample_to_u64(int width, double sample) {
-  const double mag = std::fabs(std::nearbyint(sample));
-  if (width >= 64) return static_cast<std::uint64_t>(mag);
-  const double hi = std::ldexp(1.0, width) - 1.0;
-  return static_cast<std::uint64_t>(std::fmin(mag, hi));
+// The encode body shared by the ApInt wrappers and the direct-to-plane
+// Gaussian fill: the raw 64-bit word of round(x), clamped to
+// [-2^(w-1), 2^(w-1) - 1] in two's complement (kTwos) or |round(x)| clamped
+// to [0, 2^w - 1], with w = min(width, 64).  The bounds are computed once
+// per encoder and every float-to-integer cast is in range, so values past
+// the range (including past int64/uint64 at widths >= 64) saturate.
+template <bool kTwos>
+class SampleEncoder {
+ public:
+  explicit SampleEncoder(int width)
+      : bits_(std::min(width, 64) - (kTwos ? 1 : 0)),
+        limit_(std::ldexp(1.0, bits_)),
+        max_(bits_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits_) - 1) {}
+
+  std::uint64_t operator()(double x) const {
+    const double r = round_to_integer(x);
+    if constexpr (kTwos) {
+      const double low = r > -limit_ ? r : -limit_;  // NaN saturates low
+      return low < limit_ ? static_cast<std::uint64_t>(static_cast<std::int64_t>(low)) : max_;
+    }
+    const double mag = std::fabs(r);
+    return mag < limit_ ? static_cast<std::uint64_t>(mag) : max_;  // NaN saturates high
+  }
+
+ private:
+  int bits_;
+  double limit_;       // 2^bits_, one past the top of the range
+  std::uint64_t max_;  // 2^bits_ - 1
+};
+
+// The one fill_batch body of both Gaussian sources, mirroring out.lanes() x
+// next(): variates a0 b0 a1 b1 ... from the shared block sampler (so the RNG
+// stream is exactly next()'s), encoded to raw limb-0 rows and transposed
+// one 64x64 block per (operand, lane word).  Samples carry at most 64 bits,
+// so every bit-plane >= 64 is constant per lane — zero for unsigned, the
+// lane-wise sign mask for two's complement — and those planes are written
+// once per batch, after the limb-0 planes.
+template <bool kTwos>
+void fill_gaussian_batch(const GaussianParams& params, GaussianBlockSampler& sampler,
+                         BlockRng& rng, BitSlicedBatch& out) {
+  const int n = out.width();
+  const int lane_words = out.lane_words();
+  const SampleEncoder<kTwos> encode(n);
+  std::uint64_t* planes[2] = {out.a(), out.b()};
+  std::uint64_t sign[2][kMaxLaneWords] = {};
+  for (int w = 0; w < lane_words; ++w) {
+    double variates[2 * kBatchLanes];
+    sampler.fill(rng, variates, 2 * kBatchLanes);
+    std::uint64_t rows[2][kBatchLanes];
+    std::uint64_t neg[2] = {0, 0};
+    for (int j = 0; j < kBatchLanes; ++j) {
+      for (int op = 0; op < 2; ++op) {
+        const std::uint64_t v = encode(params.mean + params.sigma * variates[2 * j + op]);
+        rows[op][j] = v;
+        if constexpr (kTwos) neg[op] |= (v >> 63) << j;
+      }
+    }
+    for (int op = 0; op < 2; ++op) {
+      sign[op][w] = neg[op];
+      transpose_64x64(rows[op]);
+      block_to_planes(rows[op], 0, n, planes[op], lane_words, w);
+    }
+  }
+  // Every plane >= 64 of an operand repeats one lane_words run (its sign
+  // masks, or zero): write the run once, then double the written prefix, so
+  // the region takes log2(n - 64) contiguous copies.
+  if (n <= 64) return;
+  const std::size_t run = static_cast<std::size_t>(lane_words);
+  const std::size_t high_words = static_cast<std::size_t>(n - 64) * run;
+  for (int op = 0; op < 2; ++op) {
+    std::uint64_t* high = planes[op] + 64 * run;
+    std::copy_n(sign[op], run, high);
+    for (std::size_t done = run; done < high_words; done *= 2) {
+      std::copy_n(high, std::min(done, high_words - done), high + done);
+    }
+  }
 }
 
 }  // namespace
 
 ApInt encode_signed_sample(int width, double sample) {
-  return ApInt::from_i64(width, signed_sample_to_i64(width, sample));
+  return ApInt::from_i64(width, static_cast<std::int64_t>(SampleEncoder<true>(width)(sample)));
 }
 
 ApInt encode_unsigned_sample(int width, double sample) {
-  return ApInt::from_u64(width, unsigned_sample_to_u64(width, sample));
+  return ApInt::from_u64(width, SampleEncoder<false>(width)(sample));
 }
 
 std::pair<ApInt, ApInt> GaussianUnsignedSource::next(BlockRng& rng) {
@@ -166,75 +234,14 @@ void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("GaussianUnsignedSource::fill_batch: batch width mismatch");
   }
-  // Mirror of out.lanes() x next(): variates a0 b0 a1 b1 ... from the shared
-  // block sampler (so the RNG stream is exactly next()'s), encoded to raw
-  // limb-0 words in per-operand 64x64 blocks.  Samples carry at most 64
-  // magnitude bits, so bit-planes >= 64 are identically zero — no transposes
-  // above limb 0.
-  const int n = width();
-  const int lane_words = out.lane_words();
-  const std::uint64_t top_mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  variates_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  rows_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  for (int w = 0; w < lane_words; ++w) {
-    sampler_.fill(rng, variates_.data(), static_cast<std::size_t>(2 * kBatchLanes));
-    for (int j = 0; j < kBatchLanes; ++j) {
-      const double a = params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j)];
-      const double b =
-          params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j + 1)];
-      rows_[static_cast<std::size_t>(j)] = unsigned_sample_to_u64(n, a) & top_mask;
-      rows_[static_cast<std::size_t>(64 + j)] = unsigned_sample_to_u64(n, b) & top_mask;
-    }
-    for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
-      transpose_64x64(block);
-      block_to_planes(block, 0, n, planes, lane_words, w);
-      for (int bit = 64; bit < n; ++bit) {
-        planes[static_cast<std::size_t>(bit) * lane_words + w] = 0;
-      }
-    }
-  }
+  fill_gaussian_batch<false>(params_, sampler_, rng, out);
 }
 
 void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("GaussianTwosSource::fill_batch: batch width mismatch");
   }
-  // Same structure as the unsigned fill; negatives make every bit-plane
-  // above limb 0 the lane-wise sign mask (two's-complement sign extension),
-  // written directly instead of transposing constant blocks.
-  const int n = width();
-  const int lane_words = out.lane_words();
-  const std::uint64_t top_mask =
-      n >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << n) - 1);
-  variates_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  rows_.resize(static_cast<std::size_t>(2 * kBatchLanes));
-  for (int w = 0; w < lane_words; ++w) {
-    sampler_.fill(rng, variates_.data(), static_cast<std::size_t>(2 * kBatchLanes));
-    std::uint64_t sign[2] = {0, 0};
-    for (int j = 0; j < kBatchLanes; ++j) {
-      const double a = params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j)];
-      const double b =
-          params_.mean + params_.sigma * variates_[static_cast<std::size_t>(2 * j + 1)];
-      const std::int64_t av = signed_sample_to_i64(n, a);
-      const std::int64_t bv = signed_sample_to_i64(n, b);
-      rows_[static_cast<std::size_t>(j)] = static_cast<std::uint64_t>(av) & top_mask;
-      rows_[static_cast<std::size_t>(64 + j)] = static_cast<std::uint64_t>(bv) & top_mask;
-      if (av < 0) sign[0] |= std::uint64_t{1} << j;
-      if (bv < 0) sign[1] |= std::uint64_t{1} << j;
-    }
-    for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? out.a() : out.b();
-      std::uint64_t* block = rows_.data() + static_cast<std::size_t>(op) * 64;
-      transpose_64x64(block);
-      block_to_planes(block, 0, n, planes, lane_words, w);
-      for (int bit = 64; bit < n; ++bit) {
-        planes[static_cast<std::size_t>(bit) * lane_words + w] = sign[op];
-      }
-    }
-  }
+  fill_gaussian_batch<true>(params_, sampler_, rng, out);
 }
 
 std::string to_string(InputDistribution dist) {

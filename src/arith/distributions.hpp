@@ -131,7 +131,8 @@ class GaussianUnsignedSource final : public OperandSource {
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: bulk ziggurat variates encoded straight into transpose
   /// blocks — samples are at most 64 bits of magnitude, so only the limb-0
-  /// block is transposed and every higher bit-plane is zero.
+  /// block is transposed and every higher bit-plane is zeroed once per
+  /// batch.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);
@@ -140,8 +141,6 @@ class GaussianUnsignedSource final : public OperandSource {
  private:
   GaussianParams params_;
   GaussianBlockSampler sampler_;
-  std::vector<double> variates_;     // fill_batch variate scratch
-  std::vector<std::uint64_t> rows_;  // fill_batch transpose scratch
 };
 
 /// round(N(mu, sigma)) encoded in n-bit two's complement (Fig 6.5, Ch. 7).
@@ -154,9 +153,9 @@ class GaussianTwosSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: like GaussianUnsignedSource::fill_batch, plus sign
-  /// extension — every bit-plane above limb 0 is the lane-wise sign mask,
-  /// written directly with no extra transposes.
+  /// Fast path: the same shared fill as GaussianUnsignedSource::fill_batch,
+  /// plus sign extension — every bit-plane above limb 0 is the lane-wise
+  /// sign mask, written once per batch with no extra transposes.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianTwosSource>(width(), params_);
@@ -165,8 +164,6 @@ class GaussianTwosSource final : public OperandSource {
  private:
   GaussianParams params_;
   GaussianBlockSampler sampler_;
-  std::vector<double> variates_;     // fill_batch variate scratch
-  std::vector<std::uint64_t> rows_;  // fill_batch transpose scratch
 };
 
 enum class InputDistribution {
@@ -187,12 +184,16 @@ enum class InputDistribution {
 [[nodiscard]] std::unique_ptr<OperandSource> make_source(InputDistribution dist, int width,
                                                          GaussianParams params = {});
 
-/// Clamps a double sample to the representable signed range of `width` bits
-/// and encodes it in two's complement.  Exposed for testing.
+/// Rounds a double sample to the nearest integer (ties to even, as
+/// std::nearbyint), clamps it to the representable signed range of `width`
+/// bits and encodes it in two's complement.  Widths >= 64 saturate to the
+/// int64 range [-2^63, 2^63 - 1]; NaN encodes the range minimum.  Exposed
+/// for testing.
 [[nodiscard]] ApInt encode_signed_sample(int width, double sample);
 
-/// Clamps |sample| to the representable unsigned range of `width` bits.
-/// Exposed for testing.
+/// Rounds a double sample like encode_signed_sample and clamps its magnitude
+/// to the unsigned range of `width` bits.  Widths >= 64 saturate to
+/// 2^64 - 1; NaN encodes the range maximum.  Exposed for testing.
 [[nodiscard]] ApInt encode_unsigned_sample(int width, double sample);
 
 }  // namespace vlcsa::arith

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string_view>
 #include <vector>
 
@@ -37,6 +36,14 @@ inline constexpr std::size_t kPlaneAlignment = 64;
 
 /// Minimal aligned allocator so plane arrays (and scratch buffers) start on
 /// a cache-line boundary without a custom container.
+///
+/// It over-allocates one alignment unit from plain operator new and aligns
+/// by hand, keeping the raw pointer in the word below the block.  The
+/// aligned operator new would route through glibc's memalign, which carves
+/// small remainder chunks off each block; those pin the freed planes apart,
+/// so the engine's per-shard batches could not reuse them and each worker's
+/// heap crept upward shard after shard.  Equal-size plain allocations reuse
+/// freed blocks exactly.
 template <typename T>
 struct AlignedAllocator {
   using value_type = T;
@@ -46,11 +53,17 @@ struct AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U>&) noexcept {}
 
   [[nodiscard]] T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kPlaneAlignment}));
+    // operator new's result is at least pointer-aligned, so the aligned
+    // block starts 8..64 bytes in and the raw-pointer slot below it is in
+    // range.
+    void* raw = ::operator new(n * sizeof(T) + kPlaneAlignment);
+    const std::uintptr_t aligned = (reinterpret_cast<std::uintptr_t>(raw) + kPlaneAlignment) &
+                                   ~std::uintptr_t{kPlaneAlignment - 1};
+    reinterpret_cast<void**>(aligned)[-1] = raw;
+    return reinterpret_cast<T*>(aligned);
   }
   void deallocate(T* p, std::size_t) noexcept {
-    ::operator delete(p, std::align_val_t{kPlaneAlignment});
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
   }
 
   template <typename U>

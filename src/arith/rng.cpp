@@ -383,7 +383,30 @@ double GaussianBlockSampler::operator()(BlockRng& rng) {
 }
 
 void GaussianBlockSampler::fill(BlockRng& rng, double* dst, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (*this)(rng);
+  // Run loop: accept words straight out of the buffer while the fast path
+  // holds.  A rejecting word is left unread (pos_ points at it) and handed
+  // to operator(), which re-reads it and runs the wedge/tail path — so the
+  // variate and word streams are exactly those of n operator() calls.
+  const ZigguratTables& t = ziggurat_tables();
+  std::size_t i = 0;
+  while (i < n) {
+    if (pos_ == kBufferWords) {
+      rng.generate_block(buffer_, kBufferWords);
+      pos_ = 0;
+    }
+    const std::size_t end = std::min(kBufferWords, pos_ + (n - i));
+    std::size_t p = pos_;
+    for (; p < end; ++p) {
+      const std::uint64_t w = buffer_[p];
+      const std::size_t iz = w & 0xFF;
+      const std::int64_t hz = static_cast<std::int64_t>(w) >> 9;
+      const std::uint64_t mag = static_cast<std::uint64_t>(hz < 0 ? -hz : hz);
+      if (mag >= t.kn[iz]) break;
+      dst[i++] = static_cast<double>(hz) * t.wn[iz];
+    }
+    pos_ = p;
+    if (p < end) dst[i++] = (*this)(rng);
+  }
 }
 
 BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream) {

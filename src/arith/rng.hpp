@@ -151,7 +151,10 @@ class GaussianBlockSampler {
   [[nodiscard]] double operator()(BlockRng& rng);
 
   /// Writes the next `n` variates — exactly the values (and BlockRng
-  /// consumption) of n operator() calls.
+  /// consumption) of n operator() calls.  A run loop over the word buffer:
+  /// the tables are loaded once and fast-path words are accepted in place;
+  /// only a rejecting word goes through operator(), which re-reads it for
+  /// the wedge/tail slow path.
   void fill(BlockRng& rng, double* dst, std::size_t n);
 
  private:

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <tuple>
@@ -193,6 +194,9 @@ INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, KoggeStoneTest,
                                             ::testing::Values(1, 2, 4)));
 
 // fill_batch contract: same samples, same RNG consumption as lanes() x next().
+// The batch starts dirty and is filled twice, so every plane of each fill
+// (the Gaussian sources' batch-level high planes included) must overwrite
+// what was there.
 class FillBatchTest
     : public ::testing::TestWithParam<std::tuple<InputDistribution, int, int>> {};
 
@@ -202,15 +206,22 @@ TEST_P(FillBatchTest, MatchesScalarStreamAndRngState) {
 
   vlcsa::arith::BlockRng rng_batch(99), rng_scalar(99);
   BitSlicedBatch batch(width, lane_words);
+  const std::size_t plane_words =
+      static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
+  std::fill_n(batch.a(), plane_words, ~std::uint64_t{0});
+  std::fill_n(batch.b(), plane_words, 0x5555555555555555ULL);
   const auto batch_source = proto->clone();
-  batch_source->fill_batch(rng_batch, batch);
-
   const auto scalar_source = proto->clone();
-  for (int j = 0; j < batch.lanes(); ++j) {
-    const auto [a, b] = scalar_source->next(rng_scalar);
-    const auto [la, lb] = batch.lane(j);
-    ASSERT_EQ(la, a) << proto->name() << " width " << width << " lane " << j;
-    ASSERT_EQ(lb, b) << proto->name() << " width " << width << " lane " << j;
+  for (int fill = 0; fill < 2; ++fill) {
+    batch_source->fill_batch(rng_batch, batch);
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const auto [a, b] = scalar_source->next(rng_scalar);
+      const auto [la, lb] = batch.lane(j);
+      ASSERT_EQ(la, a) << proto->name() << " width " << width << " fill " << fill << " lane "
+                       << j;
+      ASSERT_EQ(lb, b) << proto->name() << " width " << width << " fill " << fill << " lane "
+                       << j;
+    }
   }
   // Identical consumption: the next raw draw must agree.
   EXPECT_EQ(rng_batch(), rng_scalar())
@@ -225,6 +236,14 @@ INSTANTIATE_TEST_SUITE_P(
                                          InputDistribution::kGaussianTwos),
                        ::testing::Values(12, 32, 64, 128),
                        ::testing::Values(1, 2, 4, 8)));
+
+// The Gaussian fill around the limb-0 boundary (63/65: one plane short of
+// and past it), at the benchmark width, and at the widest lane group.
+INSTANTIATE_TEST_SUITE_P(
+    GaussianByWidthByLaneWords, FillBatchTest,
+    ::testing::Combine(::testing::Values(InputDistribution::kGaussianUnsigned,
+                                         InputDistribution::kGaussianTwos),
+                       ::testing::Values(63, 65, 512), ::testing::Values(1, 8, 16)));
 
 // The uniform source's plane-order stream at every lane width: whole runs
 // of batches reproduce the next() sequence sample for sample, across

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "arith/bitslice.hpp"
@@ -100,6 +101,68 @@ TEST(Distributions, EncodeUnsignedSampleTakesMagnitude) {
   EXPECT_EQ(encode_unsigned_sample(8, -5.0).to_u64(), 5u);
   EXPECT_EQ(encode_unsigned_sample(8, 300.0).to_u64(), 255u);
   EXPECT_EQ(encode_unsigned_sample(8, 0.4).to_u64(), 0u);
+}
+
+// Reference encodes: std::nearbyint, then the clamp decided against the
+// exact power-of-two bound 2^e and applied in integer arithmetic
+// (e = min(width, 64) - 1 for two's complement, min(width, 64) unsigned).
+ApInt reference_signed(int width, double x) {
+  const double r = std::nearbyint(x);
+  const int e = std::min(width, 64) - 1;
+  const double bound = std::ldexp(1.0, e);
+  const auto top = static_cast<std::int64_t>((std::uint64_t{1} << e) - 1);
+  if (r >= bound) return ApInt::from_i64(width, top);
+  if (r <= -bound) return ApInt::from_i64(width, -top - 1);
+  return ApInt::from_i64(width, static_cast<std::int64_t>(r));
+}
+
+ApInt reference_unsigned(int width, double x) {
+  const double r = std::fabs(std::nearbyint(x));
+  const int e = std::min(width, 64);
+  if (r >= std::ldexp(1.0, e)) {
+    return ApInt::from_u64(width, e == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << e) - 1);
+  }
+  return ApInt::from_u64(width, static_cast<std::uint64_t>(r));
+}
+
+TEST(Distributions, EncodersRoundLikeNearbyintAndClampAtEveryWidth) {
+  const double p51 = std::ldexp(1.0, 51);
+  const double p53 = std::ldexp(1.0, 53);
+  std::vector<double> values = {0.0,      -0.0,      0.4,      0.5,      1.5,     2.5,
+                                3.5,      0.49999999999999994,   1e6 + 0.5,         1e30,
+                                p51 - 1,  p51 - 0.5, p51,      p51 + 0.5, p51 + 1, p53 - 1,
+                                p53,      p53 + 2,   std::ldexp(1.0, 62) - 512.0,
+                                std::ldexp(1.0, 63), std::ldexp(1.0, 64), INFINITY};
+  const std::size_t positives = values.size();
+  for (std::size_t i = 0; i < positives; ++i) values.push_back(-values[i]);
+  for (const int width : {1, 2, 8, 31, 53, 54, 63, 64, 65, 128}) {
+    for (const double x : values) {
+      EXPECT_EQ(encode_signed_sample(width, x), reference_signed(width, x))
+          << "width " << width << " x " << x;
+      EXPECT_EQ(encode_unsigned_sample(width, x), reference_unsigned(width, x))
+          << "width " << width << " x " << x;
+    }
+  }
+}
+
+TEST(Distributions, EncodersSaturateInsteadOfOverflowingTheCast) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(encode_signed_sample(64, 1e30).to_i64(), kMax);
+  EXPECT_EQ(encode_signed_sample(64, -1e30).to_i64(), kMin);
+  EXPECT_EQ(encode_signed_sample(128, 1e30), ApInt::from_i64(128, kMax));
+  EXPECT_EQ(encode_signed_sample(128, -1e30), ApInt::from_i64(128, kMin));
+  EXPECT_EQ(encode_unsigned_sample(64, 1e30).to_u64(), ~std::uint64_t{0});
+  EXPECT_EQ(encode_unsigned_sample(128, -1e30), ApInt::from_u64(128, ~std::uint64_t{0}));
+  // Width 63: the top of the range, 2^62 - 1, is not a double; it must not
+  // round up to 2^62 and wrap to the most negative value.
+  EXPECT_EQ(encode_signed_sample(63, 1e30).to_i64(), (std::int64_t{1} << 62) - 1);
+  EXPECT_EQ(encode_signed_sample(63, -1e30).to_i64(), -(std::int64_t{1} << 62));
+  // NaN encodes the bottom of the signed range and the top of the unsigned.
+  EXPECT_EQ(encode_signed_sample(8, NAN).to_i64(), -128);
+  EXPECT_EQ(encode_signed_sample(64, NAN).to_i64(), kMin);
+  EXPECT_EQ(encode_unsigned_sample(8, NAN).to_u64(), 255u);
+  EXPECT_EQ(encode_unsigned_sample(64, NAN).to_u64(), ~std::uint64_t{0});
 }
 
 TEST(Distributions, GaussianTwosSignBalance) {

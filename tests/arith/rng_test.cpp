@@ -210,6 +210,69 @@ TEST(RngAccountingTest, WordsDrawnCountsEveryConsumptionPath) {
   EXPECT_EQ(rng.words_drawn(), 0u);
 }
 
+// GaussianBlockSampler stream identity: fill(n) is exactly n operator()
+// calls, whatever the chunking.  A variate whose first word fails the
+// ziggurat fast path consumes further words, so the variate after it no
+// longer matches a fresh sampler started one word later — which locates a
+// slow-path word in the stream without reaching into the sampler.
+bool takes_slow_path(std::uint64_t seed, std::uint64_t position) {
+  BlockRng from(seed), later(seed);
+  from.discard(position);
+  later.discard(position + 1);
+  GaussianBlockSampler sampler, reference;
+  (void)sampler(from);
+  return sampler(from) != reference(later);
+}
+
+TEST(GaussianSamplerTest, FillMatchesPerVariateCallsAtEveryChunkSize) {
+  constexpr std::uint64_t kSeed = 41;
+  constexpr std::uint64_t kBuffer = 2 * BlockRng::kStateWords;  // sampler refill size
+  // Position the stream so that a slow-path word sits in the last slot of
+  // the sampler's first buffer: the run loop then breaks on that slot and
+  // operator() must re-read it before refilling.
+  std::uint64_t slow = kBuffer - 1;
+  while (!takes_slow_path(kSeed, slow)) ++slow;
+  const std::uint64_t skip = slow - (kBuffer - 1);
+  {
+    // That word must start a variate of the positioned stream (not be an
+    // extra word of an earlier slow-path variate): the positioned variates
+    // then run into those of a fresh sampler started at the word.
+    BlockRng positioned(kSeed), at_word(kSeed);
+    positioned.discard(skip);
+    at_word.discard(slow);
+    GaussianBlockSampler from_skip, from_word;
+    std::vector<double> head(kBuffer);
+    for (double& x : head) x = from_skip(positioned);
+    const double first = from_word(at_word);
+    const double second = from_word(at_word);
+    bool found = false;
+    for (std::size_t k = 0; k + 1 < head.size(); ++k) {
+      found = found || (head[k] == first && head[k + 1] == second);
+    }
+    ASSERT_TRUE(found) << "slow-path word " << slow << " is not a variate start";
+  }
+
+  for (const std::size_t chunk : {1, 3, 127, 128, 623, 624, 625, 5000}) {
+    BlockRng rng_fill(kSeed), rng_call(kSeed);
+    rng_fill.discard(skip);
+    rng_call.discard(skip);
+    GaussianBlockSampler bulk, single;
+    std::vector<double> got, expected;
+    // fill(chunk) and single operator() calls alternate, so both entry
+    // points start mid-buffer and hand the buffer to each other.
+    while (got.size() < 6000) {
+      std::vector<double> part(chunk);
+      bulk.fill(rng_fill, part.data(), part.size());
+      got.insert(got.end(), part.begin(), part.end());
+      got.push_back(bulk(rng_fill));
+    }
+    for (std::size_t i = 0; i < got.size(); ++i) expected.push_back(single(rng_call));
+    ASSERT_EQ(got, expected) << "chunk " << chunk;
+    EXPECT_EQ(rng_fill.words_drawn(), rng_call.words_drawn()) << "chunk " << chunk;
+    EXPECT_EQ(bulk(rng_fill), single(rng_call)) << "chunk " << chunk;
+  }
+}
+
 TEST(RngCopySemanticsTest, CopyConstructionSnapshotsTheStream) {
   // Copying from a non-const generator must pick the copy constructor (as
   // it does for std::mt19937_64), not the SeedSeq template — both copies
