@@ -6,7 +6,7 @@
 //         --max-regress-pct=10
 //
 // Both records are walked recursively into flat metric paths
-// (kernels[bulk_gp_n512_w4].best_ns_per_sample, rng.generation...); array
+// (kernels[run_sweep_n512_w8].best_ns_per_sample, rng.generation...); array
 // elements are keyed by their "kernel"/"workload" member so reordering a
 // suite between PRs never misaligns the diff.  Every numeric metric present
 // in both records is reported with its delta.  Only time metrics (name

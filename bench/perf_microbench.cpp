@@ -19,6 +19,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -97,7 +98,7 @@ void BM_ScsaEvaluateBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
 }
 BENCHMARK(BM_ScsaEvaluateBatch)
-    ->Args({64, 1})->Args({64, 4})->Args({128, 4})->Args({256, 4})
+    ->Args({64, 1})->Args({64, 4})->Args({64, 8})->Args({128, 4})->Args({256, 4})
     ->Args({512, 1})->Args({512, 4})->Args({512, 8});
 
 void BM_VlsaEvaluate(benchmark::State& state) {
@@ -130,7 +131,9 @@ void BM_VlsaEvaluateBatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
 }
-BENCHMARK(BM_VlsaEvaluateBatch)->Args({64, 1})->Args({64, 4})->Args({512, 1})->Args({512, 4});
+BENCHMARK(BM_VlsaEvaluateBatch)
+    ->Args({64, 1})->Args({64, 4})->Args({64, 8})->Args({512, 1})->Args({512, 4})
+    ->Args({512, 8});
 
 // ---- plane-kernel layer, per backend ---------------------------------------
 // Args: (plane words, 0 = scalar backend / 1 = auto-dispatched best).  Each
@@ -150,40 +153,53 @@ class BackendScope {
   planeops::Backend prev_;
 };
 
-void BM_PlaneKoggeStone(benchmark::State& state) {
+// The two plane sweeps on uniform operand planes.  Args: (n, lane_words,
+// 0 = scalar backend / 1 = auto-dispatched best); the VLSA chain is the
+// published l for n, the SCSA window the 1e-4 sizing.
+void BM_PlaneWindowSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
   const BackendScope scope(state.range(2) != 0);
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
+  const spec::WindowLayout layout(n, spec::min_window_for_error_rate(n, 1e-4));
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
   vlcsa::arith::BlockRng rng(7);
-  planeops::PlaneVec g(m), p(m), carry(m), pp(m);
-  for (auto& word : g) word = rng();
-  for (auto& word : p) word = rng();
+  planeops::PlaneVec a(static_cast<std::size_t>(n) * lw), b(a.size());
+  for (auto& word : a) word = rng();
+  for (auto& word : b) word = rng();
+  planeops::PlaneVec s0(lw), s1(lw), e0(lw), e1(lw);
   for (auto _ : state) {
-    planeops::kogge_stone(g.data(), p.data(), n, lane_words, carry.data(), pp.data());
-    benchmark::DoNotOptimize(carry.data());
+    planeops::window_sweep(a.data(), b.data(), n, lane_words, layout.window(0).size,
+                           std::min(layout.window_size(), n), s0.data(), s1.data(), e0.data(),
+                           e1.data());
+    benchmark::DoNotOptimize(s0.data());
   }
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneKoggeStone)
-    ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1});
+BENCHMARK(BM_PlaneWindowSweep)
+    ->Args({64, 8, 0})->Args({64, 8, 1})->Args({512, 8, 0})->Args({512, 8, 1});
 
-void BM_PlaneBulkGp(benchmark::State& state) {
-  const std::size_t m = static_cast<std::size_t>(state.range(0));
-  const BackendScope scope(state.range(1) != 0);
+void BM_PlaneRunSweep(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int lane_words = static_cast<int>(state.range(1));
+  const BackendScope scope(state.range(2) != 0);
+  const int chain = spec::vlsa_published_chain_length(n);
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
   vlcsa::arith::BlockRng rng(8);
-  planeops::PlaneVec a(m), b(m), g(m), p(m);
+  planeops::PlaneVec a(static_cast<std::size_t>(n) * lw), b(a.size());
   for (auto& word : a) word = rng();
   for (auto& word : b) word = rng();
+  planeops::PlaneVec spec_wrong(lw), err(lw), scratch(static_cast<std::size_t>(chain) * lw);
   for (auto _ : state) {
-    planeops::bulk_gp(a.data(), b.data(), g.data(), p.data(), m);
-    benchmark::DoNotOptimize(g.data());
+    planeops::run_sweep(a.data(), b.data(), n, lane_words, chain, spec_wrong.data(), err.data(),
+                        scratch.data());
+    benchmark::DoNotOptimize(spec_wrong.data());
   }
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(m) * 8 * 2);
+  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
-BENCHMARK(BM_PlaneBulkGp)->Args({2048, 0})->Args({2048, 1});
+BENCHMARK(BM_PlaneRunSweep)
+    ->Args({64, 8, 0})->Args({64, 8, 1})->Args({512, 8, 0})->Args({512, 8, 1});
 
 void BM_PlaneTranspose64x64(benchmark::State& state) {
   const BackendScope scope(state.range(0) != 0);
@@ -628,15 +644,19 @@ int write_perf_json(const std::string& path) {
   }
   std::string kernels;
   {
-    // Per-kernel scalar-vs-best at the hot shape: n=512 planes, 4 lane words.
+    // Per-kernel scalar-vs-best at the hot shape: n=512 planes, 8 lane words
+    // (one zmm per bit), the uniform-workload sizings of both sweeps.
     constexpr int kN = 512;
-    constexpr int kW = 4;
+    constexpr int kW = 8;
     constexpr std::size_t kM = static_cast<std::size_t>(kN) * kW;
     constexpr std::uint64_t kSamplesPerPass = 64 * kW;
     vlcsa::arith::BlockRng rng(13);
-    planeops::PlaneVec a(kM), b(kM), g(kM), p(kM), carry(kM), pp(kM);
+    planeops::PlaneVec a(kM), b(kM), s0(kW), s1(kW), e0(kW), e1(kW);
     for (auto& word : a) word = rng();
     for (auto& word : b) word = rng();
+    const spec::WindowLayout layout(kN, spec::min_window_for_error_rate(kN, 1e-4));
+    const int chain = spec::vlsa_published_chain_length(kN);
+    planeops::PlaneVec scratch(static_cast<std::size_t>(chain) * kW);
     struct Kernel {
       const char* name;
       std::function<void()> body;
@@ -645,15 +665,23 @@ int write_perf_json(const std::string& path) {
     alignas(64) std::uint64_t block[64];
     for (auto& row : block) row = rng();
     const std::vector<Kernel> suite = {
-        {"bulk_gp_n512_w4",
-         [&] { planeops::bulk_gp(a.data(), b.data(), g.data(), p.data(), kM); },
+        {"window_sweep_n512_w8",
+         [&] {
+           planeops::window_sweep(a.data(), b.data(), kN, kW, layout.window(0).size,
+                                  layout.window_size(), s0.data(), s1.data(), e0.data(),
+                                  e1.data());
+         },
          kSamplesPerPass},
-        {"kogge_stone_n512_w4",
-         [&] { planeops::kogge_stone(g.data(), p.data(), kN, kW, carry.data(), pp.data()); },
+        {"run_sweep_n512_w8",
+         [&] {
+           planeops::run_sweep(a.data(), b.data(), kN, kW, chain, s0.data(), e0.data(),
+                               scratch.data());
+         },
          kSamplesPerPass},
+        // 2048 words = n=512 planes x 4 lane words, per 256 samples as before.
         {"popcount_sum_2048",
-         [&] { benchmark::DoNotOptimize(planeops::popcount_sum(a.data(), kM)); },
-         kSamplesPerPass},
+         [&] { benchmark::DoNotOptimize(planeops::popcount_sum(a.data(), 2048)); },
+         256},
         {"transpose_64x64", [&] { planeops::transpose_64x64(block); }, 64},
     };
     bool first = true;

@@ -103,11 +103,4 @@ std::pair<ApInt, ApInt> BitSlicedBatch::lane(int lane) const {
           plane_lane(b_.data(), width_, lane, lane_words_)};
 }
 
-void kogge_stone_carries(const std::uint64_t* g, const std::uint64_t* p, int n,
-                         int lane_words, std::uint64_t* carry,
-                         planeops::PlaneVec& pp_scratch) {
-  pp_scratch.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words));
-  planeops::kogge_stone(g, p, n, lane_words, carry, pp_scratch.data());
-}
-
 }  // namespace vlcsa::arith

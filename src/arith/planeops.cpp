@@ -1,11 +1,11 @@
 #include "arith/planeops.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define VLCSA_HAVE_AVX2_BACKEND 1
@@ -13,7 +13,6 @@
 #endif
 #if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
 #define VLCSA_HAVE_NEON_BACKEND 1
-#include <arm_neon.h>
 #endif
 
 namespace vlcsa::arith::planeops {
@@ -26,39 +25,6 @@ inline bool aligned64(const void* p) {
 
 // ---- scalar backend (the oracle every other backend is pinned to) ----------
 
-void and_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-void or_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-               std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-void xor_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-void andnot_scalar(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                   std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-void select_scalar(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                   std::uint64_t* dst, std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
-void gp_scalar(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-               std::uint64_t* p, std::size_t m) {
-  for (std::size_t i = 0; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
 std::uint64_t popcount_scalar(const std::uint64_t* x, std::size_t m) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < m; ++i) {
@@ -67,30 +33,85 @@ std::uint64_t popcount_scalar(const std::uint64_t* x, std::size_t m) {
   return sum;
 }
 
-// One doubling round of the prefix: carry'[i] = carry[i] | (pp[i] & carry[i-off]),
-// pp'[i] = pp[i] & pp[i-off], all reads pre-round.  Processing the flat array
-// top-down with loads before stores realizes exactly that for any off.
-void kogge_scalar(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                  std::uint64_t* carry, std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    for (std::size_t i = m; i-- > off;) {
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
+// The scalar sweeps walk lane-word columns col .. lane_words - 1 one at a
+// time, every signal in a register.  The SIMD bodies hand them the columns
+// left over after their last whole vector.
+
+void window_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                   int first, int k, int col, std::uint64_t* spec0_wrong,
+                   std::uint64_t* spec1_wrong, std::uint64_t* err0, std::uint64_t* err1) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  for (std::size_t w = static_cast<std::size_t>(col); w < lw; ++w) {
+    const std::uint64_t* pa = a + w;
+    const std::uint64_t* pb = b + w;
+    std::uint64_t prev_g = 0, prev_p = 0, carry = 0, s0 = 0, s1 = 0, e0 = 0, e1 = 0;
+    int pos = 0;
+    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      std::uint64_t g = 0, p = ~std::uint64_t{0};
+      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+        g = (*pa & *pb) | ((*pa | *pb) & g);  // maj(a, b, g)
+        p &= *pa ^ *pb;
+      }
+      if (i > 0) {
+        // `carry` is the exact carry into window i.
+        s0 |= prev_g ^ carry;
+        s1 |= (i == 1 ? prev_g : prev_g | prev_p) ^ carry;
+        e0 |= prev_g & p;
+        if (i >= 2) e1 |= prev_p & ~p;
+      }
+      carry = g | (p & carry);
+      prev_g = g;
+      prev_p = p;
     }
+    spec0_wrong[w] = s0;
+    spec1_wrong[w] = s1;
+    err0[w] = e0;
+    err1[w] = e1;
   }
 }
 
-void ssand_scalar(std::uint64_t* x, int n, int lane_words, int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  for (std::size_t i = m; i-- > off;) x[i] &= x[i - off];
-  std::memset(x, 0, off * sizeof(std::uint64_t));
+// The run sweep's sliding window, blocked van Herk/Gil-Werman style: bits
+// are cut into chain-bit blocks, and the window ending at offset t of a block
+// is the suffix of the previous block from offset t + 1 joined with the
+// prefix of this block up to t.  suffix[t] holds that previous-block suffix
+// AND (all ones at t = chain - 1, where the window is this whole block); it
+// is read once at offset t, then overwritten with this block's propagate
+// word, and at the block end one backward pass turns those words into the
+// next block's suffixes.  Before block 0 every suffix but the empty one is
+// 0, so windows that would reach below bit 0 are never runs.
+void run_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                int chain, int col, std::uint64_t* spec_wrong, std::uint64_t* err,
+                std::uint64_t* suffix) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  for (std::size_t w = static_cast<std::size_t>(col); w < lw; ++w) {
+    for (int t = 0; t < chain; ++t) suffix[t] = t == chain - 1 ? ~std::uint64_t{0} : 0;
+    const std::uint64_t* pa = a + w;
+    const std::uint64_t* pb = b + w;
+    std::uint64_t carry = 0, sw = 0, e = 0;
+    for (int base = 0; base < n; base += chain) {
+      const int len = std::min(chain, n - base);
+      std::uint64_t prefix = ~std::uint64_t{0};
+      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
+        const std::uint64_t p = *pa ^ *pb;
+        carry = (*pa & *pb) | (p & carry);  // carry out of this bit
+        prefix &= p;
+        const std::uint64_t runs = suffix[t] & prefix;
+        suffix[t] = p;
+        sw |= runs & carry;
+        e |= runs;
+      }
+      if (base + chain < n) {
+        std::uint64_t acc = ~std::uint64_t{0};
+        for (int t = chain - 1; t >= 0; --t) {
+          const std::uint64_t p = suffix[t];
+          suffix[t] = acc;
+          acc &= p;
+        }
+      }
+    }
+    spec_wrong[w] = sw;
+    err[w] = e;
+  }
 }
 
 void transpose_scalar(std::uint64_t block[64]) {
@@ -116,84 +137,6 @@ void transpose_scalar(std::uint64_t block[64]) {
 
 #if VLCSA_HAVE_AVX2_BACKEND
 
-__attribute__((target("avx2"))) void and_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                              std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_and_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-__attribute__((target("avx2"))) void or_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                             std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_or_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-__attribute__((target("avx2"))) void xor_avx2(const std::uint64_t* x, const std::uint64_t* y,
-                                              std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_xor_si256(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-__attribute__((target("avx2"))) void andnot_avx2(const std::uint64_t* x,
-                                                 const std::uint64_t* y, std::uint64_t* dst,
-                                                 std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vx = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i vy = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(y + i));
-    // _mm256_andnot_si256(a, b) = ~a & b.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), _mm256_andnot_si256(vy, vx));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-__attribute__((target("avx2"))) void select_avx2(const std::uint64_t* mask,
-                                                 const std::uint64_t* t,
-                                                 const std::uint64_t* f, std::uint64_t* dst,
-                                                 std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i vm = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
-    const __m256i vt = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(t + i));
-    const __m256i vf = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(f + i));
-    const __m256i sel =
-        _mm256_or_si256(_mm256_and_si256(vm, vt), _mm256_andnot_si256(vm, vf));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), sel);
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
-__attribute__((target("avx2"))) void gp_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                             std::uint64_t* g, std::uint64_t* p,
-                                             std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(g + i), _mm256_and_si256(va, vb));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(p + i), _mm256_xor_si256(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
 __attribute__((target("avx2,popcnt"))) std::uint64_t popcount_avx2(const std::uint64_t* x,
                                                                    std::size_t m) {
   // Lane masks are short (a handful of words); the hardware popcnt loop beats
@@ -205,57 +148,94 @@ __attribute__((target("avx2,popcnt"))) std::uint64_t popcount_avx2(const std::ui
   return sum;
 }
 
-// Top-down chunked doubling rounds; within one 4-word chunk all loads happen
-// before the stores, and chunks run from the top of the array downward, so
-// every read observes the pre-round value for any offset — the same
-// pre-round-read semantics as the scalar loop (see kogge_scalar).
-__attribute__((target("avx2"))) void kogge_avx2(const std::uint64_t* g, const std::uint64_t* p,
-                                                int n, int lane_words, std::uint64_t* carry,
-                                                std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= 4 && i >= 4) {
-      i -= 4;
-      const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(carry + i));
-      const __m256i q = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pp + i));
-      const __m256i cl =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(carry + i - off));
-      const __m256i ql = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pp + i - off));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(carry + i),
-                          _mm256_or_si256(c, _mm256_and_si256(q, cl)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(pp + i), _mm256_and_si256(q, ql));
+// The AVX2 sweeps take four lane-word columns per ymm from column `col` on,
+// with the same algebra and block scheme as the scalar bodies, which finish
+// the leftover columns.  The AVX-512 bodies hand their leftovers to these.
+__attribute__((target("avx2"))) void window_avx2(
+    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int first, int k,
+    int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong, std::uint64_t* err0,
+    std::uint64_t* err1) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_set1_epi64x(-1);
+  for (; col + 4 <= lane_words; col += 4) {
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    __m256i prev_g = zero, prev_p = zero, carry = zero, s0 = zero, s1 = zero, e0 = zero,
+            e1 = zero;
+    int pos = 0;
+    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      __m256i g = zero, p = ones;
+      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+        const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
+        const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
+        g = _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(_mm256_or_si256(x, y), g));
+        p = _mm256_and_si256(p, _mm256_xor_si256(x, y));
+      }
+      if (i > 0) {
+        const __m256i sel1 = i == 1 ? prev_g : _mm256_or_si256(prev_g, prev_p);
+        s0 = _mm256_or_si256(s0, _mm256_xor_si256(prev_g, carry));
+        s1 = _mm256_or_si256(s1, _mm256_xor_si256(sel1, carry));
+        e0 = _mm256_or_si256(e0, _mm256_and_si256(prev_g, p));
+        // _mm256_andnot_si256(a, b) = ~a & b.
+        if (i >= 2) e1 = _mm256_or_si256(e1, _mm256_andnot_si256(p, prev_p));
+      }
+      carry = _mm256_or_si256(g, _mm256_and_si256(p, carry));
+      prev_g = g;
+      prev_p = p;
     }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec0_wrong + col), s0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec1_wrong + col), s1);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(err0 + col), e0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(err1 + col), e1);
   }
+  window_scalar(a, b, n, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0, err1);
 }
 
-__attribute__((target("avx2"))) void ssand_avx2(std::uint64_t* x, int n, int lane_words,
-                                                int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  std::size_t i = m;
-  while (i - off >= 4 && i >= 4) {
-    i -= 4;
-    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i));
-    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(x + i - off));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(x + i), _mm256_and_si256(hi, lo));
+__attribute__((target("avx2"))) void run_avx2(const std::uint64_t* a, const std::uint64_t* b,
+                                              int n, int lane_words, int chain, int col,
+                                              std::uint64_t* spec_wrong, std::uint64_t* err,
+                                              std::uint64_t* scratch) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i ones = _mm256_set1_epi64x(-1);
+  __m256i* suffix = reinterpret_cast<__m256i*>(scratch);
+  for (; col + 4 <= lane_words; col += 4) {
+    for (int t = 0; t < chain; ++t) {
+      _mm256_storeu_si256(suffix + t, t == chain - 1 ? ones : zero);
+    }
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    __m256i carry = zero, sw = zero, e = zero;
+    for (int base = 0; base < n; base += chain) {
+      const int len = std::min(chain, n - base);
+      __m256i prefix = ones;
+      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
+        const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
+        const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
+        const __m256i p = _mm256_xor_si256(x, y);
+        carry = _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(p, carry));
+        prefix = _mm256_and_si256(prefix, p);
+        const __m256i runs = _mm256_and_si256(_mm256_loadu_si256(suffix + t), prefix);
+        _mm256_storeu_si256(suffix + t, p);
+        sw = _mm256_or_si256(sw, _mm256_and_si256(runs, carry));
+        e = _mm256_or_si256(e, runs);
+      }
+      if (base + chain < n) {
+        __m256i acc = ones;
+        for (int t = chain - 1; t >= 0; --t) {
+          const __m256i p = _mm256_loadu_si256(suffix + t);
+          _mm256_storeu_si256(suffix + t, acc);
+          acc = _mm256_and_si256(acc, p);
+        }
+      }
+    }
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec_wrong + col), sw);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(err + col), e);
   }
-  while (i > off) {
-    --i;
-    x[i] &= x[i - off];
-  }
-  std::memset(x, 0, off * sizeof(std::uint64_t));
+  run_scalar(a, b, n, lane_words, chain, col, spec_wrong, err, scratch);
 }
+
 
 // Same recursive block swap as the scalar transpose; sub-block sizes >= 4
 // handle four rows per vector op (runs of consecutive k with bit j clear have
@@ -312,92 +292,6 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-__attribute__((target("avx512f,avx512bw"))) void and_avx512(const std::uint64_t* x,
-                                                            const std::uint64_t* y,
-                                                            std::uint64_t* dst,
-                                                            std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_and_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void or_avx512(const std::uint64_t* x,
-                                                           const std::uint64_t* y,
-                                                           std::uint64_t* dst,
-                                                           std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_or_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void xor_avx512(const std::uint64_t* x,
-                                                            const std::uint64_t* y,
-                                                            std::uint64_t* dst,
-                                                            std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(vx, vy));
-  }
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void andnot_avx512(const std::uint64_t* x,
-                                                               const std::uint64_t* y,
-                                                               std::uint64_t* dst,
-                                                               std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vx = _mm512_loadu_si512(x + i);
-    const __m512i vy = _mm512_loadu_si512(y + i);
-    // _mm512_andnot_si512(a, b) = ~a & b.
-    _mm512_storeu_si512(dst + i, _mm512_andnot_si512(vy, vx));
-  }
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-__attribute__((target("avx512f,avx512bw"))) void select_avx512(const std::uint64_t* mask,
-                                                               const std::uint64_t* t,
-                                                               const std::uint64_t* f,
-                                                               std::uint64_t* dst,
-                                                               std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i vm = _mm512_loadu_si512(mask + i);
-    const __m512i vt = _mm512_loadu_si512(t + i);
-    const __m512i vf = _mm512_loadu_si512(f + i);
-    // vpternlog 0xCA = (m & t) | (~m & f): one instruction for the select.
-    _mm512_storeu_si512(dst + i, _mm512_ternarylogic_epi64(vm, vt, vf, 0xCA));
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
-__attribute__((target("avx512f,avx512bw"))) void gp_avx512(const std::uint64_t* a,
-                                                           const std::uint64_t* b,
-                                                           std::uint64_t* g, std::uint64_t* p,
-                                                           std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 8 <= m; i += 8) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    _mm512_storeu_si512(g + i, _mm512_and_si512(va, vb));
-    _mm512_storeu_si512(p + i, _mm512_xor_si512(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
 __attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t popcount_avx512(
     const std::uint64_t* x, std::size_t m) {
   // Single-instruction per-word popcount (vpopcntq) with a vector accumulator;
@@ -414,57 +308,94 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t popcount_avx512
   return sum;
 }
 
-// Top-down chunked doubling rounds, same pre-round-read argument as
-// kogge_avx2: within one 8-word chunk all loads precede the stores, and
-// chunks run from the top of the array downward.
-__attribute__((target("avx512f,avx512bw"))) void kogge_avx512(const std::uint64_t* g,
-                                                              const std::uint64_t* p, int n,
-                                                              int lane_words,
-                                                              std::uint64_t* carry,
-                                                              std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= 8 && i >= 8) {
-      i -= 8;
-      const __m512i c = _mm512_loadu_si512(carry + i);
-      const __m512i q = _mm512_loadu_si512(pp + i);
-      const __m512i cl = _mm512_loadu_si512(carry + i - off);
-      const __m512i ql = _mm512_loadu_si512(pp + i - off);
-      // vpternlog 0xF8 = c | (q & cl).
-      _mm512_storeu_si512(carry + i, _mm512_ternarylogic_epi64(c, q, cl, 0xF8));
-      _mm512_storeu_si512(pp + i, _mm512_and_si512(q, ql));
+// The AVX-512 sweeps take eight lane-word columns per zmm, with the same
+// algebra and block scheme as the scalar bodies.  Leftover columns go to the
+// AVX2 bodies (avx512f implies avx2), which leave the last 0-3 to the scalar
+// ones.  vpternlog
+// immediates: 0xE8 = maj(x, y, z), 0x60 = x & (y ^ z), 0xF8 = x | (y & z),
+// 0xF6 = x | (y ^ z), 0xF4 = x | (y & ~z).
+__attribute__((target("avx512f,avx512bw"))) void window_avx512(
+    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int first, int k,
+    int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong, std::uint64_t* err0,
+    std::uint64_t* err1) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i ones = _mm512_set1_epi64(-1);
+  for (; col + 8 <= lane_words; col += 8) {
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    __m512i prev_g = zero, prev_p = zero, carry = zero, s0 = zero, s1 = zero, e0 = zero,
+            e1 = zero;
+    int pos = 0;
+    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      __m512i g = zero, p = ones;
+      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+        const __m512i x = _mm512_loadu_si512(pa);
+        const __m512i y = _mm512_loadu_si512(pb);
+        g = _mm512_ternarylogic_epi64(x, y, g, 0xE8);
+        p = _mm512_ternarylogic_epi64(p, x, y, 0x60);
+      }
+      if (i > 0) {
+        const __m512i sel1 = i == 1 ? prev_g : _mm512_or_si512(prev_g, prev_p);
+        s0 = _mm512_ternarylogic_epi64(s0, prev_g, carry, 0xF6);
+        s1 = _mm512_ternarylogic_epi64(s1, sel1, carry, 0xF6);
+        e0 = _mm512_ternarylogic_epi64(e0, prev_g, p, 0xF8);
+        if (i >= 2) e1 = _mm512_ternarylogic_epi64(e1, prev_p, p, 0xF4);
+      }
+      carry = _mm512_ternarylogic_epi64(g, p, carry, 0xF8);
+      prev_g = g;
+      prev_p = p;
     }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
+    _mm512_storeu_si512(spec0_wrong + col, s0);
+    _mm512_storeu_si512(spec1_wrong + col, s1);
+    _mm512_storeu_si512(err0 + col, e0);
+    _mm512_storeu_si512(err1 + col, e1);
   }
+  window_avx2(a, b, n, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0, err1);
 }
 
-__attribute__((target("avx512f,avx512bw"))) void ssand_avx512(std::uint64_t* x, int n,
-                                                              int lane_words, int step) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  const std::size_t off =
-      static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-  std::size_t i = m;
-  while (i - off >= 8 && i >= 8) {
-    i -= 8;
-    const __m512i hi = _mm512_loadu_si512(x + i);
-    const __m512i lo = _mm512_loadu_si512(x + i - off);
-    _mm512_storeu_si512(x + i, _mm512_and_si512(hi, lo));
+__attribute__((target("avx512f,avx512bw"))) void run_avx512(
+    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain, int col,
+    std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const __m512i zero = _mm512_setzero_si512();
+  const __m512i ones = _mm512_set1_epi64(-1);
+  for (; col + 8 <= lane_words; col += 8) {
+    for (int t = 0; t < chain; ++t) {
+      _mm512_storeu_si512(scratch + 8 * t, t == chain - 1 ? ones : zero);
+    }
+    const std::uint64_t* pa = a + col;
+    const std::uint64_t* pb = b + col;
+    __m512i carry = zero, sw = zero, e = zero;
+    for (int base = 0; base < n; base += chain) {
+      const int len = std::min(chain, n - base);
+      __m512i prefix = ones;
+      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
+        const __m512i x = _mm512_loadu_si512(pa);
+        const __m512i y = _mm512_loadu_si512(pb);
+        const __m512i p = _mm512_xor_si512(x, y);
+        carry = _mm512_ternarylogic_epi64(x, y, carry, 0xE8);
+        prefix = _mm512_and_si512(prefix, p);
+        const __m512i runs = _mm512_and_si512(_mm512_loadu_si512(scratch + 8 * t), prefix);
+        _mm512_storeu_si512(scratch + 8 * t, p);
+        sw = _mm512_ternarylogic_epi64(sw, runs, carry, 0xF8);
+        e = _mm512_or_si512(e, runs);
+      }
+      if (base + chain < n) {
+        __m512i acc = ones;
+        for (int t = chain - 1; t >= 0; --t) {
+          const __m512i p = _mm512_loadu_si512(scratch + 8 * t);
+          _mm512_storeu_si512(scratch + 8 * t, acc);
+          acc = _mm512_and_si512(acc, p);
+        }
+      }
+    }
+    _mm512_storeu_si512(spec_wrong + col, sw);
+    _mm512_storeu_si512(err + col, e);
   }
-  while (i > off) {
-    --i;
-    x[i] &= x[i - off];
-  }
-  std::memset(x, 0, off * sizeof(std::uint64_t));
+  run_avx2(a, b, n, lane_words, chain, col, spec_wrong, err, scratch);
 }
+
 
 // Same recursive block swap as the scalar transpose; sub-block sizes >= 8
 // handle eight rows per 512-bit op (runs of consecutive k with bit j clear
@@ -516,148 +447,46 @@ __attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t 
 
 #endif  // VLCSA_HAVE_AVX512_BACKEND
 
-// ---- NEON backend ----------------------------------------------------------
-//
-// aarch64 only (NEON is baseline there, so no runtime CPU check is needed).
-// Only the trivially translatable kernels get vector bodies; the structured
-// ones reuse the scalar implementations.
-
-#if VLCSA_HAVE_NEON_BACKEND
-
-void and_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vandq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] & y[i];
-}
-
-void or_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vorrq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] | y[i];
-}
-
-void xor_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, veorq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] ^ y[i];
-}
-
-void andnot_neon(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m) {
-  std::size_t i = 0;
-  // vbicq_u64(a, b) = a & ~b.
-  for (; i + 2 <= m; i += 2) vst1q_u64(dst + i, vbicq_u64(vld1q_u64(x + i), vld1q_u64(y + i)));
-  for (; i < m; ++i) dst[i] = x[i] & ~y[i];
-}
-
-void select_neon(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    vst1q_u64(dst + i, vbslq_u64(vld1q_u64(mask + i), vld1q_u64(t + i), vld1q_u64(f + i)));
-  }
-  for (; i < m; ++i) dst[i] = (mask[i] & t[i]) | (~mask[i] & f[i]);
-}
-
-void gp_neon(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 2 <= m; i += 2) {
-    const uint64x2_t va = vld1q_u64(a + i);
-    const uint64x2_t vb = vld1q_u64(b + i);
-    vst1q_u64(g + i, vandq_u64(va, vb));
-    vst1q_u64(p + i, veorq_u64(va, vb));
-  }
-  for (; i < m; ++i) {
-    g[i] = a[i] & b[i];
-    p[i] = a[i] ^ b[i];
-  }
-}
-
-void kogge_neon(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                std::uint64_t* carry, std::uint64_t* pp) {
-  const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-  std::memcpy(carry, g, m * sizeof(std::uint64_t));
-  std::memcpy(pp, p, m * sizeof(std::uint64_t));
-  for (int d = 1; d < n; d <<= 1) {
-    const std::size_t off =
-        static_cast<std::size_t>(d) * static_cast<std::size_t>(lane_words);
-    std::size_t i = m;
-    while (i - off >= 2 && i >= 2) {
-      i -= 2;
-      const uint64x2_t c = vld1q_u64(carry + i);
-      const uint64x2_t q = vld1q_u64(pp + i);
-      const uint64x2_t cl = vld1q_u64(carry + i - off);
-      const uint64x2_t ql = vld1q_u64(pp + i - off);
-      vst1q_u64(carry + i, vorrq_u64(c, vandq_u64(q, cl)));
-      vst1q_u64(pp + i, vandq_u64(q, ql));
-    }
-    while (i > off) {
-      --i;
-      carry[i] |= pp[i] & carry[i - off];
-      pp[i] &= pp[i - off];
-    }
-  }
-}
-
-#endif  // VLCSA_HAVE_NEON_BACKEND
-
 // ---- dispatch --------------------------------------------------------------
 
+// The sweeps take the first lane-word column to process, so each body can
+// hand its leftover columns to a narrower one; the public entry points pass 0.
 struct Kernels {
   Backend backend;
-  void (*and_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*or_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*xor_)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*andnot)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::size_t);
-  void (*select)(const std::uint64_t*, const std::uint64_t*, const std::uint64_t*,
-                 std::uint64_t*, std::size_t);
-  void (*gp)(const std::uint64_t*, const std::uint64_t*, std::uint64_t*, std::uint64_t*,
-             std::size_t);
   std::uint64_t (*popcount)(const std::uint64_t*, std::size_t);
-  void (*kogge)(const std::uint64_t*, const std::uint64_t*, int, int, std::uint64_t*,
-                std::uint64_t*);
-  void (*ssand)(std::uint64_t*, int, int, int);
+  void (*window)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, int,
+                 std::uint64_t*, std::uint64_t*, std::uint64_t*, std::uint64_t*);
+  void (*run)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, std::uint64_t*,
+              std::uint64_t*, std::uint64_t*);
   void (*transpose)(std::uint64_t*);
 };
 
 constexpr Kernels kScalarKernels = {
-    Backend::kScalar, and_scalar,      or_scalar,  xor_scalar, andnot_scalar,
-    select_scalar,    gp_scalar,       popcount_scalar,
-    kogge_scalar,     ssand_scalar,    transpose_scalar,
+    Backend::kScalar, popcount_scalar, window_scalar, run_scalar, transpose_scalar,
 };
 
 #if VLCSA_HAVE_AVX2_BACKEND
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, and_avx2,      or_avx2,  xor_avx2, andnot_avx2,
-    select_avx2,    gp_avx2,       popcount_avx2,
-    kogge_avx2,     ssand_avx2,    transpose_avx2,
+    Backend::kAvx2, popcount_avx2, window_avx2, run_avx2, transpose_avx2,
 };
 #endif
 
 #if VLCSA_HAVE_AVX512_BACKEND
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, and_avx512,    or_avx512,  xor_avx512, andnot_avx512,
-    select_avx512,    gp_avx512,     popcount_avx512,
-    kogge_avx512,     ssand_avx512,  transpose_avx512,
+    Backend::kAvx512, popcount_avx512, window_avx512, run_avx512, transpose_avx512,
 };
 // Skylake-class row: avx512f+avx512bw without avx512vpopcntdq keeps the
 // 512-bit kernels but reduces with the hardware-popcnt loop.
 constexpr Kernels kAvx512KernelsNoVpopcnt = {
-    Backend::kAvx512, and_avx512,    or_avx512,  xor_avx512, andnot_avx512,
-    select_avx512,    gp_avx512,     popcount_avx2,
-    kogge_avx512,     ssand_avx512,  transpose_avx512,
+    Backend::kAvx512, popcount_avx2, window_avx512, run_avx512, transpose_avx512,
 };
 #endif
 
 #if VLCSA_HAVE_NEON_BACKEND
+// No NEON bodies remain: every kernel is the scalar one, kept as its own
+// row so the backend still names itself.
 constexpr Kernels kNeonKernels = {
-    Backend::kNeon, and_neon,      or_neon,  xor_neon, andnot_neon,
-    select_neon,    gp_neon,       popcount_scalar,
-    kogge_neon,     ssand_scalar,  transpose_scalar,
+    Backend::kNeon, popcount_scalar, window_scalar, run_scalar, transpose_scalar,
 };
 #endif
 
@@ -769,53 +598,26 @@ bool set_backend(std::string_view name) {
   return false;
 }
 
-void bulk_and(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  active().and_(x, y, dst, m);
-}
-
-void bulk_or(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m) {
-  active().or_(x, y, dst, m);
-}
-
-void bulk_xor(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m) {
-  active().xor_(x, y, dst, m);
-}
-
-void bulk_andnot(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m) {
-  active().andnot(x, y, dst, m);
-}
-
-void bulk_select(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m) {
-  active().select(mask, t, f, dst, m);
-}
-
-void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m) {
-  active().gp(a, b, g, p, m);
-}
-
 std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m) {
   return active().popcount(x, m);
 }
 
-void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                 std::uint64_t* carry, std::uint64_t* pp) {
-  assert(n >= 1 && lane_words >= 1);
+void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                  int first, int k, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
+                  std::uint64_t* err0, std::uint64_t* err1) {
+  assert(n >= 1 && lane_words >= 1 && k >= 1 && first >= 1 && first <= n &&
+         (n - first) % k == 0);
   // Whole-plane kernel: bases must sit on the PlaneVec alignment contract.
-  assert(aligned64(g) && aligned64(p) && aligned64(carry) && aligned64(pp));
+  assert(aligned64(a) && aligned64(b));
   (void)aligned64;
-  active().kogge(g, p, n, lane_words, carry, pp);
+  active().window(a, b, n, lane_words, first, k, 0, spec0_wrong, spec1_wrong, err0, err1);
 }
 
-void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step) {
-  assert(n >= 1 && lane_words >= 1 && step >= 1 && step <= n);
-  assert(aligned64(x));
-  active().ssand(x, n, lane_words, step);
+void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain,
+               std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch) {
+  assert(n >= 1 && lane_words >= 1 && chain >= 1 && chain <= n);
+  assert(aligned64(a) && aligned64(b));
+  active().run(a, b, n, lane_words, chain, 0, spec_wrong, err, scratch);
 }
 
 void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }

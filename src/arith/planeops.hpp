@@ -1,14 +1,14 @@
 #pragma once
-// Plane-kernel layer: the bulk word-parallel primitives every bit-sliced
+// Plane-kernel layer: the word-parallel primitives every bit-sliced
 // evaluation path is built from, each with a scalar backend and (on x86-64)
-// AVX2 and AVX-512 backends — plus NEON where the translation is trivial —
+// AVX2 and AVX-512 backends — the NEON row runs the scalar bodies —
 // selected once at startup by runtime CPU dispatch.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp), but
-// the elementwise kernels below are layout-agnostic: they just stream over
-// `m` words.  The only structured kernel is the Kogge-Stone prefix, which
-// takes the (n, lane_words) shape explicitly.
+// the reduction and transpose kernels are layout-agnostic.  The structured
+// kernels — the SCSA window sweep and the VLSA run sweep — take the
+// (n, lane_words) shape explicitly.
 //
 // Contracts:
 //  * Every backend computes bit-identical results — the scalar backend is
@@ -102,43 +102,47 @@ bool set_backend(Backend backend);
 /// degrade to auto).
 bool set_backend(std::string_view name);
 
-// --- Bulk boolean kernels over m words (dst may alias x and/or y; all
-// --- pointers may be interior, but whole-plane callers pass aligned bases).
-void bulk_and(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m);
-void bulk_or(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-             std::size_t m);
-void bulk_xor(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-              std::size_t m);
-/// dst = x & ~y.
-void bulk_andnot(const std::uint64_t* x, const std::uint64_t* y, std::uint64_t* dst,
-                 std::size_t m);
-/// dst = (mask & t) | (~mask & f) — per-bit select.
-void bulk_select(const std::uint64_t* mask, const std::uint64_t* t, const std::uint64_t* f,
-                 std::uint64_t* dst, std::size_t m);
-/// g = a & b, p = a ^ b in one pass (the generate/propagate plane fill).
-/// Unlike the single-output kernels above, g and p must NOT alias a, b, or
-/// each other — the two outputs are interleaved per element, so an aliased
-/// input would be clobbered mid-pass (and differently per backend).
-void bulk_gp(const std::uint64_t* a, const std::uint64_t* b, std::uint64_t* g,
-             std::uint64_t* p, std::size_t m);
-
 /// Sum of popcounts over m words — the mask-popcount reduction the Monte
 /// Carlo accumulators fold lane masks with.
 [[nodiscard]] std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m);
 
-/// Word-level Kogge-Stone carry prefix over bit-major plane arrays with
-/// `lane_words` words per bit: carry[i] = carry out of bit i with carry-in 0,
-/// independently in each of the n*lane_words*64 lanes.  `carry` and `pp`
-/// must each hold n*lane_words words, be 64-byte aligned, and not alias
-/// g/p/each other.  `pp` is clobbered scratch.
-void kogge_stone(const std::uint64_t* g, const std::uint64_t* p, int n, int lane_words,
-                 std::uint64_t* carry, std::uint64_t* pp);
+// --- Streaming sweeps over bit-major operand planes.  Both take the operand
+// --- planes a/b of an n-bit batch (n * lane_words words each, bit i's group
+// --- at [i * lane_words, (i + 1) * lane_words)), walk the bits once from the
+// --- LSB up with their state in registers (plus the run sweep's suffix
+// --- scratch), and write lane-mask groups of lane_words words.  Lane-word
+// --- columns are independent, so SIMD bodies take whole vectors of columns
+// --- and leave the rest to narrower bodies, down to the scalar one.
 
-/// In-place groupwise x[i] &= x[i - step] for i = n-1 .. step, then zeroes
-/// groups [0, step) — one doubling step of a sliding all-ones window (the
-/// VLSA propagate-run sweep).  Group = lane_words words.
-void shifted_self_and(std::uint64_t* x, int n, int lane_words, int step);
+/// The SCSA window sweep (ScsaModel::evaluate_batch).  The windows are
+/// [0, first) and then `k`-bit windows up to n (first + k * (m - 1) == n).
+/// Per window it ripples the group generate G = maj(a, b, G) and ANDs the
+/// group propagate P &= a ^ b; at each window boundary it compares the
+/// speculative carry-in selects with the exact carry into the window
+/// (threaded as c' = G | (P & c)) and folds the detectors:
+///   spec0_wrong: some window's S*,0 select G_{i-1} != exact carry-in;
+///   spec1_wrong: the same for S*,1 (select G_0 into window 1, and
+///                G_{i-1} | P_{i-1} beyond);
+///   err0: some pair G_{i-1} & P_i (i >= 1);
+///   err1: some pair P_{i-1} & ~P_i (i >= 2).
+void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
+                  int first, int k, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
+                  std::uint64_t* err0, std::uint64_t* err1);
+
+/// The VLSA propagate-run sweep (VlsaModel::evaluate_batch) for speculative
+/// chain length `chain` (1 <= chain <= n).  Ripples the exact carry
+/// c = maj(a, b, c) and tracks runs(j) = "bits j-chain+1 .. j all
+/// propagate" with a van Herk/Gil-Werman sliding AND (the suffix ANDs of the
+/// previous chain-bit block against a running prefix AND of the current
+/// one), then folds
+///   err        |= runs(j),
+///   spec_wrong |= runs(j) & carry-out(j).
+/// The second fold is the speculative-carry error "run ending at j and a
+/// carry entering it": a carry crosses an all-propagate run unchanged, so the
+/// carry into the run's low bit equals the carry out of its top bit.
+/// `scratch` must hold chain * lane_words words (clobbered).
+void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain,
+               std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch);
 
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i.
 void transpose_64x64(std::uint64_t block[64]);

@@ -1,5 +1,6 @@
 #include "speculative/scsa.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace vlcsa::spec {
@@ -84,97 +85,28 @@ ScsaEvaluation ScsaModel::evaluate(const ApInt& a, const ApInt& b) const {
   return ev;
 }
 
-namespace {
-
-/// The window sweep over bit-plane groups of `lw` words, with the per-bit
-/// generate/propagate computed on the fly from the operand planes (no
-/// materialized g/p arrays — the sweep is their only consumer, so fusing
-/// halves the memory traffic of the hot loop).  kW > 0 bakes the lane-word
-/// count into the instantiation (fully unrolled lane loops for the common
-/// widths); kW == 0 is the generic runtime-width fallback.  All lane-group
-/// signals live in fixed stack buffers (lw <= kMaxLaneWords, enforced by
-/// BitSlicedBatch).
-///
-/// A speculative result differs from the exact sum iff some window's
-/// carry-in select differs from the true carry into that window: a select
-/// mismatch flips that window's conditional sum (adding 1 modulo 2^size
-/// always changes it), and when every select matches, the carry-out
-/// expression G | (P & c) matches too.  Selects per scsa.hpp: S*,0 uses
-/// G_{i-1}; S*,1 uses G_0 for window 1 (the window-0 carry-out is exact) and
-/// G_{i-1} | P_{i-1} beyond.  The exact carry into window i is threaded
-/// through the window chain (c' = G | (P & c)) — windows partition the bit
-/// range, so this equals the full prefix carry at the window boundary and no
-/// Kogge-Stone pass is needed on this path.
-template <int kW>
-void scsa_sweep(const WindowLayout& layout, const std::uint64_t* a, const std::uint64_t* b,
-                int lw_runtime, ScsaBatchEvaluation& out) {
-  const int lw = kW > 0 ? kW : lw_runtime;
-  constexpr int kBuf = kW > 0 ? kW : arith::kMaxLaneWords;
-  std::uint64_t wg[kBuf], wp[kBuf], prev_g[kBuf], prev_p[kBuf], c_exact[kBuf];
-  std::uint64_t spec0_wrong[kBuf], spec1_wrong[kBuf], err0[kBuf], err1[kBuf];
-  for (int w = 0; w < lw; ++w) {
-    prev_g[w] = prev_p[w] = c_exact[w] = 0;
-    spec0_wrong[w] = spec1_wrong[w] = err0[w] = err1[w] = 0;
-  }
-  const int m = layout.count();
-  for (int i = 0; i < m; ++i) {
-    const auto [pos, size] = layout.window(i);
-    for (int w = 0; w < lw; ++w) {
-      wg[w] = 0;
-      wp[w] = ~std::uint64_t{0};
-    }
-    const std::uint64_t* pa = a + static_cast<std::size_t>(pos) * lw;
-    const std::uint64_t* pb = b + static_cast<std::size_t>(pos) * lw;
-    for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
-      for (int w = 0; w < lw; ++w) {
-        const std::uint64_t gen = pa[w] & pb[w];
-        const std::uint64_t prop = pa[w] ^ pb[w];
-        wg[w] = gen | (prop & wg[w]);
-        wp[w] &= prop;
-      }
-    }
-    if (i > 0) {
-      for (int w = 0; w < lw; ++w) {
-        // c_exact currently holds the exact carry *into* window i (out of
-        // windows [0, i)).
-        const std::uint64_t exact_in = c_exact[w];
-        const std::uint64_t sel0 = prev_g[w];
-        const std::uint64_t sel1 = i == 1 ? prev_g[w] : (prev_g[w] | prev_p[w]);
-        spec0_wrong[w] |= sel0 ^ exact_in;
-        spec1_wrong[w] |= sel1 ^ exact_in;
-        // Detection pairs (Figs 5.1 and 6.7), same indexing as the scalar
-        // loop: ERR0 over pairs (0,1)..(m-2,m-1), ERR1 starting at (1,2).
-        err0[w] |= prev_g[w] & wp[w];
-        if (i >= 2) err1[w] |= prev_p[w] & ~wp[w];
-      }
-    }
-    for (int w = 0; w < lw; ++w) {
-      c_exact[w] = wg[w] | (wp[w] & c_exact[w]);
-      prev_g[w] = wg[w];
-      prev_p[w] = wp[w];
-    }
-  }
-  const std::size_t lws = static_cast<std::size_t>(lw);
-  out.spec0_wrong.assign(spec0_wrong, spec0_wrong + lws);
-  out.spec1_wrong.assign(spec1_wrong, spec1_wrong + lws);
-  out.err0.assign(err0, err0 + lws);
-  out.err1.assign(err1, err1 + lws);
-}
-
-}  // namespace
-
+// A speculative result differs from the exact sum iff some window's
+// carry-in select differs from the true carry into that window: a select
+// mismatch flips that window's conditional sum (adding 1 modulo 2^size
+// always changes it), and when every select matches, the carry-out
+// expression G | (P & c) matches too.  So the batch path never forms the
+// sums: planeops::window_sweep ripples each window's G/P from the operand
+// planes, threads the exact window carries (windows partition the bits, so
+// c' = G | (P & c) is the prefix carry at each boundary) and folds the
+// select mismatches and detector pairs into the four lane masks.
 void ScsaModel::evaluate_batch(const BitSlicedBatch& batch, ScsaBatchEvaluation& out) const {
   if (batch.width() != config_.width) {
     throw std::invalid_argument("ScsaModel: batch width mismatch");
   }
-  const int lw = batch.lane_words();
-  switch (lw) {
-    case 1: scsa_sweep<1>(layout_, batch.a(), batch.b(), lw, out); break;
-    case 2: scsa_sweep<2>(layout_, batch.a(), batch.b(), lw, out); break;
-    case 4: scsa_sweep<4>(layout_, batch.a(), batch.b(), lw, out); break;
-    case 8: scsa_sweep<8>(layout_, batch.a(), batch.b(), lw, out); break;
-    default: scsa_sweep<0>(layout_, batch.a(), batch.b(), lw, out); break;
-  }
+  const std::size_t lw = static_cast<std::size_t>(batch.lane_words());
+  out.spec0_wrong.resize(lw);
+  out.spec1_wrong.resize(lw);
+  out.err0.resize(lw);
+  out.err1.resize(lw);
+  arith::planeops::window_sweep(batch.a(), batch.b(), config_.width, batch.lane_words(),
+                                layout_.window(0).size, std::min(config_.window, config_.width),
+                                out.spec0_wrong.data(), out.spec1_wrong.data(),
+                                out.err0.data(), out.err1.data());
 }
 
 }  // namespace vlcsa::spec

@@ -117,10 +117,6 @@ struct ScsaBatchEvaluation {
     const std::size_t i = static_cast<std::size_t>(w);
     return (err0[i] & spec1_wrong[i]) | (~err0[i] & spec0_wrong[i]);
   }
-
-  // No plane-sized scratch: generate/propagate fuse into the window sweep
-  // and the exact carries thread window G/P through the window chain, so no
-  // full-width prefix pass is needed here (unlike the VLSA batch).
 };
 
 /// Behavioral SCSA evaluator.  One instance is reusable across calls and

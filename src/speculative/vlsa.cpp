@@ -71,54 +71,24 @@ VlsaEvaluation VlsaModel::evaluate(const ApInt& a, const ApInt& b) const {
   return ev;
 }
 
+// The same identity as evaluate(), with the carry side swapped: the
+// speculative carry out of bit j is wrong iff the window ending at j is
+// all-propagate and a carry enters it, and a carry crosses an all-propagate
+// run unchanged, so "a carry enters it" is the exact carry out of bit j.
+// planeops::run_sweep ripples that carry and the sliding run mask in one
+// pass over the operand planes.
 void VlsaModel::evaluate_batch(const arith::BitSlicedBatch& batch,
                                VlsaBatchEvaluation& out) const {
   if (batch.width() != config_.width) {
     throw std::invalid_argument("VlsaModel: batch width mismatch");
   }
-  const int n = config_.width;
-  const int l = config_.chain;
-  const int lw = batch.lane_words();
-  const std::size_t lws = static_cast<std::size_t>(lw);
-  const std::size_t planes = static_cast<std::size_t>(n) * lws;
-
-  out.g.resize(planes);
-  out.p.resize(planes);
-  out.carry.resize(planes);
-  arith::planeops::bulk_gp(batch.a(), batch.b(), out.g.data(), out.p.data(), planes);
-  // Exact per-bit carries via the word-level Kogge-Stone prefix; carry[j] is
-  // the carry *out* of bit j, so the carry *into* bit j is carry[j - 1].
-  arith::kogge_stone_carries(out.g.data(), out.p.data(), n, lw, out.carry.data(), out.pp);
-
-  // Sliding all-propagate mask over the planes, same doubling scheme as the
-  // scalar propagate_runs(): runs[j] = all of p[j-l+1 .. j], zero when the
-  // window would overhang bit 0.  Each doubling step is the plane-kernel
-  // shifted_self_and (groupwise runs[j] &= runs[j-step], zero-fill below).
-  out.runs = out.p;
-  int covered = 1;
-  while (covered < l) {
-    const int step = std::min(covered, l - covered);
-    arith::planeops::shifted_self_and(out.runs.data(), n, lw, step);
-    covered += step;
-  }
-
-  // The speculative carry out of bit j differs from the exact one iff the
-  // window ending at j is all-propagate and the true carry entering it is 1
-  // (carry into bit j-l+1).  Any such difference flips a sum bit (j <= n-2)
-  // or the reported carry-out (j = n-1), so spec_wrong is their OR.
-  out.spec_wrong.assign(lws, 0);
-  out.err.assign(lws, 0);
-  for (int j = l - 1; j < n; ++j) {
-    const std::size_t run_idx = static_cast<std::size_t>(j) * lws;
-    const int into = j - l + 1;  // window's lowest bit
-    for (std::size_t w = 0; w < lws; ++w) {
-      const std::uint64_t run = out.runs[run_idx + w];
-      const std::uint64_t carry_in =
-          into == 0 ? 0 : out.carry[static_cast<std::size_t>(into - 1) * lws + w];
-      out.spec_wrong[w] |= run & carry_in;
-      out.err[w] |= run;
-    }
-  }
+  const std::size_t lw = static_cast<std::size_t>(batch.lane_words());
+  out.spec_wrong.resize(lw);
+  out.err.resize(lw);
+  out.scratch.resize(static_cast<std::size_t>(config_.chain) * lw);
+  arith::planeops::run_sweep(batch.a(), batch.b(), config_.width, batch.lane_words(),
+                             config_.chain, out.spec_wrong.data(), out.err.data(),
+                             out.scratch.data());
 }
 
 // ---- netlist generator ------------------------------------------------------

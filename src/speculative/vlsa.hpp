@@ -55,8 +55,8 @@ struct VlsaBatchEvaluation {
 
   [[nodiscard]] int lane_words() const { return static_cast<int>(err.size()); }
 
-  // Reused scratch planes (see ScsaBatchEvaluation).
-  arith::planeops::PlaneVec g, p, carry, runs, pp;
+  // Reused run-sweep scratch (chain * lane_words words).
+  arith::planeops::PlaneVec scratch;
 };
 
 class VlsaModel {

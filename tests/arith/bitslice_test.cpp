@@ -1,9 +1,10 @@
 // Tests for the bit-sliced batch layer: the 64x64 bit-matrix transpose, the
-// ApInt <-> bit-plane conversions, the word-level Kogge-Stone prefix, and
-// the OperandSource::fill_batch stream contract (a run of fill_batch calls
-// must produce the same samples as the same number of next() calls and
-// leave the RNG at the same block position — the foundation of the batched
-// pipeline's bit-identical-counters guarantee).
+// ApInt <-> bit-plane conversions, the window and run sweeps checked against
+// ApInt::add carries, and the OperandSource::fill_batch stream
+// contract (a run of fill_batch calls must produce the same samples as the
+// same number of next() calls and leave the RNG at the same block position —
+// the foundation of the batched pipeline's bit-identical-counters
+// guarantee).
 
 #include "arith/bitslice.hpp"
 
@@ -151,45 +152,129 @@ TEST(BitSlicedBatchTest, LoadRejectsMismatchedCounts) {
   EXPECT_THROW(batch.load(a, b), std::invalid_argument);
 }
 
-class KoggeStoneTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(KoggeStoneTest, LaneCarriesMatchApIntAdd) {
-  const auto [width, lane_words] = GetParam();
-  vlcsa::arith::BlockRng rng(6);
-  std::vector<ApInt> a, b;
-  for (int j = 0; j < 64 * lane_words; ++j) {
-    a.push_back(ApInt::random(width, rng));
-    b.push_back(ApInt::random(width, rng));
+// The structured sweeps against ApInt::add: operands loaded through
+// BitSlicedBatch, expected lane masks built from each lane's exact carries.
+// Odd lanes take b = ~a with sparse flips above a generate at bit 0, so long
+// all-propagate runs with a carry entering them are common.
+class SweepApIntTest : public ::testing::TestWithParam<std::tuple<int, int>> {
+ protected:
+  void SetUp() override {
+    const auto [width, lane_words] = GetParam();
+    vlcsa::arith::BlockRng rng(6);
+    for (int j = 0; j < 64 * lane_words; ++j) {
+      ApInt aj = ApInt::random(width, rng);
+      ApInt bj = ApInt::random(width, rng);
+      if (j % 2 == 1) {
+        ApInt flips = ApInt::random(width, rng);
+        for (int r = 0; r < 4; ++r) flips = flips & ApInt::random(width, rng);
+        bj = ~aj ^ flips;
+        aj.set_bit(0, true);
+        bj.set_bit(0, true);
+      }
+      // carry_out[i] = carry out of bit i == carry into bit i+1 ==
+      // p(i+1) ^ sum(i+1); the top bit's carry-out is the reported one.
+      const auto exact = ApInt::add(aj, bj);
+      std::vector<bool> carry(static_cast<std::size_t>(width)), p(carry.size());
+      for (int i = 0; i < width; ++i) {
+        p[static_cast<std::size_t>(i)] = aj.bit(i) != bj.bit(i);
+        carry[static_cast<std::size_t>(i)] =
+            i == width - 1 ? exact.carry_out
+                           : (aj.bit(i + 1) ^ bj.bit(i + 1) ^ exact.sum.bit(i + 1));
+      }
+      carry_out.push_back(std::move(carry));
+      propagate.push_back(std::move(p));
+      a.push_back(std::move(aj));
+      b.push_back(std::move(bj));
+    }
+    batch = BitSlicedBatch(width, lane_words);
+    batch.load(a, b);
   }
-  BitSlicedBatch batch(width, lane_words);
-  batch.load(a, b);
-  const std::size_t planes =
-      static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
-  planeops::PlaneVec g(planes), p(planes), carry(planes), scratch;
-  planeops::bulk_gp(batch.a(), batch.b(), g.data(), p.data(), planes);
-  kogge_stone_carries(g.data(), p.data(), width, lane_words, carry.data(), scratch);
-  for (int j = 0; j < batch.lanes(); ++j) {
-    const auto exact = ApInt::add(a[static_cast<std::size_t>(j)], b[static_cast<std::size_t>(j)]);
-    const ApInt& aj = a[static_cast<std::size_t>(j)];
-    const ApInt& bj = b[static_cast<std::size_t>(j)];
-    const int lane_word = j / kBatchLanes;
-    const int lane_bit = j % kBatchLanes;
-    for (int i = 0; i < width; ++i) {
-      // Carry out of bit i == carry into bit i+1 == p(i+1) ^ sum(i+1); the
-      // top bit's carry-out is the reported carry_out.
-      const bool expected =
-          i == width - 1 ? exact.carry_out
-                         : (aj.bit(i + 1) ^ bj.bit(i + 1) ^ exact.sum.bit(i + 1));
-      const std::uint64_t word =
-          carry[static_cast<std::size_t>(i) * static_cast<std::size_t>(lane_words) +
-                static_cast<std::size_t>(lane_word)];
-      ASSERT_EQ((word >> lane_bit) & 1, static_cast<std::uint64_t>(expected))
-          << "width " << width << " W " << lane_words << " lane " << j << " bit " << i;
+
+  static bool lane_bit(const planeops::PlaneVec& mask, int j) {
+    return ((mask[static_cast<std::size_t>(j / kBatchLanes)] >> (j % kBatchLanes)) & 1) != 0;
+  }
+
+  std::vector<ApInt> a, b;
+  std::vector<std::vector<bool>> carry_out, propagate;
+  BitSlicedBatch batch{1};
+};
+
+TEST_P(SweepApIntTest, RunSweepMatchesApIntAddCarries) {
+  const auto [width, lane_words] = GetParam();
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  int long_run_lanes = 0;
+  for (const int chain : {1, 2, 5, 21, width - 1, width}) {
+    if (chain < 1 || chain > width) continue;
+    planeops::PlaneVec spec_wrong(lw), err(lw), scratch(static_cast<std::size_t>(chain) * lw);
+    planeops::run_sweep(batch.a(), batch.b(), width, lane_words, chain, spec_wrong.data(),
+                        err.data(), scratch.data());
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const auto& p = propagate[static_cast<std::size_t>(j)];
+      const auto& c = carry_out[static_cast<std::size_t>(j)];
+      bool want_err = false, want_spec = false;
+      int run = 0;  // propagate bits ending at bit i
+      for (int i = 0; i < width; ++i) {
+        run = p[static_cast<std::size_t>(i)] ? run + 1 : 0;
+        if (run >= chain) {
+          want_err = true;
+          want_spec = want_spec || c[static_cast<std::size_t>(i)];
+        }
+      }
+      if (want_spec && chain == std::min(width, 21)) ++long_run_lanes;
+      ASSERT_EQ(lane_bit(err, j), want_err)
+          << "width " << width << " W " << lane_words << " l " << chain << " lane " << j;
+      ASSERT_EQ(lane_bit(spec_wrong, j), want_spec)
+          << "width " << width << " W " << lane_words << " l " << chain << " lane " << j;
+    }
+  }
+  if (width >= 64) {
+    EXPECT_GT(long_run_lanes, batch.lanes() / 4) << "operands lack long runs";
+  }
+}
+
+TEST_P(SweepApIntTest, WindowSweepMatchesApIntAddCarries) {
+  const auto [width, lane_words] = GetParam();
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  for (const int k : {1, 2, 5, 17, width}) {
+    if (k > width) continue;
+    const int first = width - k * ((width - 1) / k);  // remainder first, as in WindowLayout
+    planeops::PlaneVec spec0(lw), spec1(lw), err0(lw), err1(lw);
+    planeops::window_sweep(batch.a(), batch.b(), width, lane_words, first, k, spec0.data(),
+                           spec1.data(), err0.data(), err1.data());
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const auto& p = propagate[static_cast<std::size_t>(j)];
+      const auto& c = carry_out[static_cast<std::size_t>(j)];
+      // Window i: G = its carry-out with carry-in 0, which is the exact
+      // carry-out unless the whole window propagates (then G = 0).
+      std::vector<bool> g, pw, cin;
+      for (int pos = 0, size = first; pos < width; pos += size, size = k) {
+        bool all_p = true;
+        for (int i = pos; i < pos + size; ++i) all_p = all_p && p[static_cast<std::size_t>(i)];
+        pw.push_back(all_p);
+        g.push_back(!all_p && c[static_cast<std::size_t>(pos + size - 1)]);
+        cin.push_back(pos > 0 && c[static_cast<std::size_t>(pos - 1)]);
+      }
+      bool want0 = false, want1 = false, want_e0 = false, want_e1 = false;
+      for (std::size_t i = 1; i < g.size(); ++i) {
+        const bool sel1 = i == 1 ? g[0] : (g[i - 1] || pw[i - 1]);
+        want0 = want0 || g[i - 1] != cin[i];
+        want1 = want1 || sel1 != cin[i];
+        want_e0 = want_e0 || (g[i - 1] && pw[i]);
+        want_e1 = want_e1 || (i >= 2 && pw[i - 1] && !pw[i]);
+      }
+      const auto where = [&] {
+        return ::testing::Message() << "width " << width << " W " << lane_words << " k " << k
+                                    << " lane " << j;
+      };
+      ASSERT_EQ(lane_bit(spec0, j), want0) << where();
+      ASSERT_EQ(lane_bit(spec1, j), want1) << where();
+      ASSERT_EQ(lane_bit(err0, j), want_e0) << where();
+      ASSERT_EQ(lane_bit(err1, j), want_e1) << where();
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, KoggeStoneTest,
+INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, SweepApIntTest,
                          ::testing::Combine(::testing::Values(1, 2, 7, 64, 65, 130),
                                             ::testing::Values(1, 2, 4)));
 

@@ -1,9 +1,10 @@
 // Plane-kernel layer tests: every available backend (scalar always; AVX2 /
-// NEON when the host supports them) must compute bit-identical results to
-// the scalar oracle on every kernel, including ragged tails, aliased
-// destinations, and the shape-sensitive Kogge-Stone / shifted-and kernels.
-// Also covers the dispatch surface: backend naming, availability, and the
-// set_backend contract.
+// AVX-512 / NEON when the host supports them) must compute bit-identical
+// results to the scalar oracle on every kernel, including ragged tails and
+// the shape-sensitive window and run sweeps at lane widths that leave
+// leftover columns for the scalar body.  The scalar sweeps are in turn
+// pinned to a naive per-bit reference.  Also covers the dispatch surface:
+// backend naming, availability, and the set_backend contract.
 
 #include "arith/planeops.hpp"
 
@@ -12,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <utility>
 #include <vector>
 
 namespace vlcsa::arith::planeops {
@@ -122,38 +124,6 @@ class PlaneOpsBackendTest : public ::testing::TestWithParam<Backend> {
   Backend prev_ = active_backend();  // captured before SetUp switches
 };
 
-TEST_P(PlaneOpsBackendTest, BulkOpsMatchScalarSemantics) {
-  std::mt19937_64 rng(1);
-  for (const std::size_t m : kSizes) {
-    const PlaneVec x = random_words(rng, m);
-    const PlaneVec y = random_words(rng, m);
-    const PlaneVec z = random_words(rng, m);
-    PlaneVec dst(m, 0);
-    bulk_and(x.data(), y.data(), dst.data(), m);
-    for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(dst[i], x[i] & y[i]) << "and @" << i;
-    bulk_or(x.data(), y.data(), dst.data(), m);
-    for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(dst[i], x[i] | y[i]) << "or @" << i;
-    bulk_xor(x.data(), y.data(), dst.data(), m);
-    for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(dst[i], x[i] ^ y[i]) << "xor @" << i;
-    bulk_andnot(x.data(), y.data(), dst.data(), m);
-    for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(dst[i], x[i] & ~y[i]) << "andnot @" << i;
-    bulk_select(z.data(), x.data(), y.data(), dst.data(), m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(dst[i], (z[i] & x[i]) | (~z[i] & y[i])) << "select @" << i;
-    }
-    PlaneVec g(m, 0), p(m, 0);
-    bulk_gp(x.data(), y.data(), g.data(), p.data(), m);
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_EQ(g[i], x[i] & y[i]) << "gp/g @" << i;
-      ASSERT_EQ(p[i], x[i] ^ y[i]) << "gp/p @" << i;
-    }
-    // Aliased destination (dst == x) is part of the contract.
-    PlaneVec aliased = x;
-    bulk_xor(aliased.data(), y.data(), aliased.data(), m);
-    for (std::size_t i = 0; i < m; ++i) ASSERT_EQ(aliased[i], x[i] ^ y[i]) << "alias @" << i;
-  }
-}
-
 TEST_P(PlaneOpsBackendTest, PopcountSumMatchesPerWordPopcount) {
   std::mt19937_64 rng(2);
   for (const std::size_t m : kSizes) {
@@ -168,53 +138,142 @@ TEST_P(PlaneOpsBackendTest, PopcountSumMatchesPerWordPopcount) {
   EXPECT_EQ(popcount_sum(ones.data(), ones.size()), 9u * 64u);
 }
 
-TEST_P(PlaneOpsBackendTest, KoggeStoneMatchesSequentialCarryChain) {
-  std::mt19937_64 rng(3);
-  for (const int n : {1, 2, 3, 5, 8, 17, 64, 130}) {
-    for (const int lane_words : {1, 2, 3, 4, 8, 16}) {
-      const std::size_t m = static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-      const PlaneVec a = random_words(rng, m);
-      const PlaneVec b = random_words(rng, m);
-      PlaneVec g(m), p(m), carry(m), pp(m);
-      bulk_gp(a.data(), b.data(), g.data(), p.data(), m);
-      kogge_stone(g.data(), p.data(), n, lane_words, carry.data(), pp.data());
-      // Reference: the sequential carry recurrence per lane word.
-      PlaneVec expected(m);
-      for (int w = 0; w < lane_words; ++w) {
-        std::uint64_t c = 0;
-        for (int i = 0; i < n; ++i) {
-          const std::size_t idx =
-              static_cast<std::size_t>(i) * static_cast<std::size_t>(lane_words) +
-              static_cast<std::size_t>(w);
-          c = g[idx] | (p[idx] & c);
-          expected[idx] = c;
-        }
+/// Operand planes for an n-bit batch: uniform random words, or (long_runs)
+/// b = ~a with sparse random flips above a generate at bit 0, so most lanes
+/// carry a long all-propagate run with a carry entering it.
+std::pair<PlaneVec, PlaneVec> sweep_operands(std::mt19937_64& rng, int n, int lane_words,
+                                             bool long_runs) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  PlaneVec a = random_words(rng, static_cast<std::size_t>(n) * lw);
+  PlaneVec b = random_words(rng, a.size());
+  if (long_runs) {
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      const std::uint64_t flips = rng() & rng() & rng() & rng() & rng();
+      b[i] = i < lw ? a[i] : ~a[i] ^ flips;
+    }
+  }
+  return {std::move(a), std::move(b)};
+}
+
+struct WindowOut {
+  PlaneVec spec0_wrong, spec1_wrong, err0, err1;
+  bool operator==(const WindowOut&) const = default;
+};
+
+WindowOut run_window(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int first,
+                     int k) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  WindowOut out{PlaneVec(lw), PlaneVec(lw), PlaneVec(lw), PlaneVec(lw)};
+  window_sweep(a.data(), b.data(), n, lane_words, first, k, out.spec0_wrong.data(),
+               out.spec1_wrong.data(), out.err0.data(), out.err1.data());
+  return out;
+}
+
+/// Naive window sweep: per-window G/P from the per-bit carry recurrence,
+/// then the select/detect algebra of window_sweep's contract.
+WindowOut naive_window(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int first,
+                       int k) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  WindowOut out{PlaneVec(lw), PlaneVec(lw), PlaneVec(lw), PlaneVec(lw)};
+  for (std::size_t w = 0; w < lw; ++w) {
+    std::vector<std::uint64_t> g, p;
+    for (int pos = 0, size = first; pos < n; pos += size, size = k) {
+      std::uint64_t wg = 0, wp = ~std::uint64_t{0};
+      for (int bit = pos; bit < pos + size; ++bit) {
+        const std::size_t idx = static_cast<std::size_t>(bit) * lw + w;
+        wg = (a[idx] & b[idx]) | ((a[idx] ^ b[idx]) & wg);
+        wp &= a[idx] ^ b[idx];
       }
-      for (std::size_t i = 0; i < m; ++i) {
-        ASSERT_EQ(carry[i], expected[i]) << "n=" << n << " W=" << lane_words << " @" << i;
+      g.push_back(wg);
+      p.push_back(wp);
+    }
+    std::uint64_t carry = g[0];
+    for (std::size_t i = 1; i < g.size(); ++i) {
+      const std::uint64_t sel1 = i == 1 ? g[0] : g[i - 1] | p[i - 1];
+      out.spec0_wrong[w] |= g[i - 1] ^ carry;
+      out.spec1_wrong[w] |= sel1 ^ carry;
+      out.err0[w] |= g[i - 1] & p[i];
+      if (i >= 2) out.err1[w] |= p[i - 1] & ~p[i];
+      carry = g[i] | (p[i] & carry);
+    }
+  }
+  return out;
+}
+
+using RunOut = std::pair<PlaneVec, PlaneVec>;  // (spec_wrong, err)
+
+RunOut run_runs(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int chain) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  RunOut out{PlaneVec(lw), PlaneVec(lw)};
+  PlaneVec scratch(static_cast<std::size_t>(chain) * lw);
+  run_sweep(a.data(), b.data(), n, lane_words, chain, out.first.data(), out.second.data(),
+            scratch.data());
+  return out;
+}
+
+/// Naive run sweep: each chain-bit window ANDed out in full (O(n * chain)).
+RunOut naive_runs(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int chain) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  RunOut out{PlaneVec(lw), PlaneVec(lw)};
+  for (std::size_t w = 0; w < lw; ++w) {
+    std::uint64_t carry = 0;
+    for (int j = 0; j < n; ++j) {
+      const std::size_t idx = static_cast<std::size_t>(j) * lw + w;
+      carry = (a[idx] & b[idx]) | ((a[idx] ^ b[idx]) & carry);
+      if (j < chain - 1) continue;
+      std::uint64_t runs = ~std::uint64_t{0};
+      for (int i = j - chain + 1; i <= j; ++i) {
+        const std::size_t at = static_cast<std::size_t>(i) * lw + w;
+        runs &= a[at] ^ b[at];
+      }
+      out.first[w] |= runs & carry;
+      out.second[w] |= runs;
+    }
+  }
+  return out;
+}
+
+// Lane widths: below, at and above one 8-word vector, with leftover columns
+// for a 4-word vector (12), the scalar body (3) or both (13) to finish.
+const int kSweepLaneWords[] = {1, 3, 8, 12, 13, 16};
+
+TEST_P(PlaneOpsBackendTest, WindowSweepMatchesScalar) {
+  std::mt19937_64 rng(3);
+  // (n, k); the first window takes the remainder, as in WindowLayout.
+  const std::pair<int, int> shapes[] = {{1, 1},   {5, 2},   {63, 63},  {64, 6},
+                                        {65, 63}, {130, 17}, {512, 17}, {512, 32}};
+  for (const auto& [n, k] : shapes) {
+    const int first = n - k * ((n - 1) / k);
+    for (const int lane_words : kSweepLaneWords) {
+      for (const bool long_runs : {false, true}) {
+        const auto [a, b] = sweep_operands(rng, n, lane_words, long_runs);
+        const WindowOut got = run_window(a, b, n, lane_words, first, k);
+        ASSERT_TRUE(set_backend(Backend::kScalar));
+        const WindowOut scalar = run_window(a, b, n, lane_words, first, k);
+        ASSERT_TRUE(set_backend(GetParam()));
+        ASSERT_TRUE(got == scalar) << "n=" << n << " k=" << k << " W=" << lane_words;
+        ASSERT_TRUE(scalar == naive_window(a, b, n, lane_words, first, k))
+            << "n=" << n << " k=" << k << " W=" << lane_words;
       }
     }
   }
 }
 
-TEST_P(PlaneOpsBackendTest, ShiftedSelfAndMatchesScalarSweep) {
+TEST_P(PlaneOpsBackendTest, RunSweepMatchesScalar) {
   std::mt19937_64 rng(4);
-  for (const int n : {1, 2, 5, 16, 64, 130}) {
-    for (const int lane_words : {1, 2, 4, 8, 16}) {
-      for (const int step : {1, 2, 3, n}) {
-        if (step > n) continue;
-        const std::size_t m =
-            static_cast<std::size_t>(n) * static_cast<std::size_t>(lane_words);
-        PlaneVec x = random_words(rng, m);
-        PlaneVec expected = x;
-        const std::size_t off =
-            static_cast<std::size_t>(step) * static_cast<std::size_t>(lane_words);
-        for (std::size_t i = m; i-- > off;) expected[i] &= expected[i - off];
-        for (std::size_t i = 0; i < off; ++i) expected[i] = 0;
-        shifted_self_and(x.data(), n, lane_words, step);
-        for (std::size_t i = 0; i < m; ++i) {
-          ASSERT_EQ(x[i], expected[i])
-              << "n=" << n << " W=" << lane_words << " step=" << step << " @" << i;
+  for (const int n : {1, 5, 64, 65, 130, 512}) {
+    for (const int chain : {1, 2, 21, n - 1, n}) {
+      if (chain < 1 || chain > n) continue;
+      for (const int lane_words : kSweepLaneWords) {
+        for (const bool long_runs : {false, true}) {
+          const auto [a, b] = sweep_operands(rng, n, lane_words, long_runs);
+          const RunOut got = run_runs(a, b, n, lane_words, chain);
+          ASSERT_TRUE(set_backend(Backend::kScalar));
+          const RunOut scalar = run_runs(a, b, n, lane_words, chain);
+          ASSERT_TRUE(set_backend(GetParam()));
+          ASSERT_TRUE(got == scalar) << "n=" << n << " l=" << chain << " W=" << lane_words;
+          ASSERT_TRUE(scalar == naive_runs(a, b, n, lane_words, chain))
+              << "n=" << n << " l=" << chain << " W=" << lane_words;
         }
       }
     }

@@ -9,9 +9,14 @@
 //  * randomized at n in {32, 64, 128} x every registered operand
 //    distribution x all four models (ScsaModel, VLCSA 1, VLCSA 2, VLSA);
 //  * the backend/lane-width matrix: scalar vs SIMD backend x lane words
-//    {1, 2, 4} x all four models x tail sizes {1, 63, 65, 127, 255, 257},
-//    pinned bit-identical both per-lane (direct batch loads) and through
-//    the sharded engine against the scalar EvalPath.
+//    {1, 2, 3, 4, 8, 12, 16} x all four models, pinned bit-identical both
+//    per-lane (direct batch loads) and through the sharded engine against
+//    the scalar EvalPath.  The per-lane arm covers widths {63, 64, 65, 512},
+//    SCSA windows whose first window is a remainder ((512, 17), (65, 63))
+//    or the whole adder ((63, 63)), VLSA chains {1, 2, 21, n - 1, n}, tail
+//    sizes {1, 63, 65, 127, 255, 257} plus a full batch, and two operand
+//    families: uniform, and long propagate runs that make the speculative
+//    results wrong and the detectors fire in most lanes.
 
 #include <gtest/gtest.h>
 
@@ -275,29 +280,72 @@ class BackendLaneWidthTest
   planeops::Backend prev_ = planeops::active_backend();
 };
 
-/// Direct batch loads at every tail size that fits the lane count: each
-/// loaded lane must match the scalar model, for all four models.
+/// One width of the per-lane matrix with the SCSA windows and VLSA chains
+/// run at it.
+struct MatrixShape {
+  int width;
+  std::vector<int> windows;
+  std::vector<int> chains;
+};
+
+const MatrixShape kMatrixShapes[] = {
+    {63, {6, 63}, {1, 2, 21, 62, 63}},      // (63, 63): a single window
+    {64, {6}, {1, 2, 8, 21, 63, 64}},       // small window: frequent errors
+    {65, {6, 63}, {1, 2, 21, 64, 65}},      // (65, 63): 2-bit first window
+    {512, {17}, {1, 2, 21, 511, 512}},      // (512, 17): 2-bit first window
+};
+
+/// `count` operand pairs at width n: uniform, or (long_runs) pairs that
+/// force long propagate runs — a generate at a random bit in the low
+/// quarter and b = ~a above it with sparse random flips (each bit 1/32).
+void make_operands(int n, int count, bool long_runs, vlcsa::arith::BlockRng& rng,
+                   std::vector<ApInt>& a, std::vector<ApInt>& b) {
+  a.clear();
+  b.clear();
+  for (int j = 0; j < count; ++j) {
+    ApInt x = ApInt::random(n, rng);
+    ApInt y = ApInt::random(n, rng);
+    if (long_runs) {
+      ApInt flips = ApInt::random(n, rng);
+      for (int r = 0; r < 4; ++r) flips = flips & ApInt::random(n, rng);
+      const ApInt run = ~x ^ flips;
+      const int gen = static_cast<int>(rng() % static_cast<std::uint64_t>(n / 4 + 1));
+      x.set_bit(gen, true);
+      y.set_bit(gen, true);
+      for (int i = gen + 1; i < n; ++i) y.set_bit(i, run.bit(i));
+    }
+    a.push_back(std::move(x));
+    b.push_back(std::move(y));
+  }
+}
+
+/// Direct batch loads at every tail size that fits the lane count, and a
+/// full batch: each loaded lane must match the scalar model, for all four
+/// models at every matrix shape and both operand families.
 TEST_P(BackendLaneWidthTest, AllFourModelsMatchScalarPerLane) {
   const auto [backend, lane_words] = GetParam();
   (void)backend;
-  const int n = 64;
-  const int k = 6;  // small window: frequent errors exercise every predicate
-  const ScsaModel scsa(ScsaConfig{n, k});
-  const VlcsaModel vlcsa1(VlcsaConfig{n, k, ScsaVariant::kScsa1});
-  const VlcsaModel vlcsa2(VlcsaConfig{n, k, ScsaVariant::kScsa2});
-  const VlsaModel vlsa(VlsaConfig{n, k + 2});
   vlcsa::arith::BlockRng rng(2024);
-  for (const int count : {1, 63, 65, 127, 255, 257}) {
-    if (count > 64 * lane_words) continue;  // does not fit this lane width
-    std::vector<ApInt> a, b;
-    for (int j = 0; j < count; ++j) {
-      a.push_back(ApInt::random(n, rng));
-      b.push_back(ApInt::random(n, rng));
+  std::vector<ApInt> a, b;
+  for (const MatrixShape& shape : kMatrixShapes) {
+    const int n = shape.width;
+    for (const int count : {1, 63, 65, 127, 255, 257, 64 * lane_words}) {
+      if (count > 64 * lane_words) continue;  // does not fit this lane width
+      for (const bool long_runs : {false, true}) {
+        make_operands(n, count, long_runs, rng, a, b);
+        for (const int k : shape.windows) {
+          check_scsa_batch(ScsaModel(ScsaConfig{n, k}), a, b, lane_words);
+          check_vlcsa_batch(VlcsaModel(VlcsaConfig{n, k, ScsaVariant::kScsa1}), a, b,
+                            lane_words);
+          check_vlcsa_batch(VlcsaModel(VlcsaConfig{n, k, ScsaVariant::kScsa2}), a, b,
+                            lane_words);
+        }
+        for (const int l : shape.chains) {
+          check_vlsa_batch(VlsaModel(VlsaConfig{n, l}), a, b, lane_words);
+        }
+        if (HasFatalFailure()) return;
+      }
     }
-    check_scsa_batch(scsa, a, b, lane_words);
-    check_vlcsa_batch(vlcsa1, a, b, lane_words);
-    check_vlcsa_batch(vlcsa2, a, b, lane_words);
-    check_vlsa_batch(vlsa, a, b, lane_words);
   }
 }
 
@@ -336,11 +384,35 @@ INSTANTIATE_TEST_SUITE_P(
                                          planeops::Backend::kAvx2,
                                          planeops::Backend::kAvx512,
                                          planeops::Backend::kNeon),
-                       ::testing::Values(1, 2, 4, 8, 16)),
+                       ::testing::Values(1, 2, 3, 4, 8, 12, 16)),
     [](const ::testing::TestParamInfo<std::tuple<planeops::Backend, int>>& info) {
       return std::string(planeops::to_string(std::get<0>(info.param))) + "_w" +
              std::to_string(std::get<1>(info.param));
     });
+
+/// The long-run family must do its job: the speculative results are wrong
+/// and the detectors fire in most lanes, so the matrix above compares set
+/// predicate bits, not only clear ones.
+TEST(LongRunOperandsTest, SpeculationFailsAndDetectorsFireInMostLanes) {
+  vlcsa::arith::BlockRng rng(7);
+  std::vector<ApInt> a, b;
+  for (const auto& [n, k, l] : {std::tuple{64, 6, 8}, std::tuple{512, 17, 21}}) {
+    make_operands(n, 512, true, rng, a, b);
+    BitSlicedBatch batch(n, 8);
+    batch.load(a, b);
+    ScsaBatchEvaluation scsa;
+    ScsaModel(ScsaConfig{n, k}).evaluate_batch(batch, scsa);
+    VlsaBatchEvaluation vlsa;
+    VlsaModel(VlsaConfig{n, l}).evaluate_batch(batch, vlsa);
+    const auto lanes = [](const planeops::PlaneVec& mask) {
+      return planeops::popcount_sum(mask.data(), mask.size());
+    };
+    EXPECT_GT(lanes(scsa.spec0_wrong), 256u) << "n=" << n;
+    EXPECT_GT(lanes(scsa.err0), 256u) << "n=" << n;
+    EXPECT_GT(lanes(vlsa.spec_wrong), 256u) << "n=" << n;
+    EXPECT_GT(lanes(vlsa.err), 256u) << "n=" << n;
+  }
+}
 
 }  // namespace
 }  // namespace vlcsa::spec
