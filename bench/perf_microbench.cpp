@@ -215,6 +215,27 @@ void BM_PlaneTranspose64x64(benchmark::State& state) {
 }
 BENCHMARK(BM_PlaneTranspose64x64)->Arg(0)->Arg(1);
 
+// The sample encoder as the Gaussian fill calls it: 1024 ziggurat variates
+// read at stride 2 (one operand of interleaved pairs), Ch. 7 params, n = 64
+// two's complement.  Arg: 0 = scalar backend / 1 = auto-dispatched best.
+void BM_PlaneEncodeSamples(benchmark::State& state) {
+  const BackendScope scope(state.range(0) != 0);
+  constexpr std::size_t kCount = 1024;
+  arith::GaussianBlockSampler sampler;
+  arith::BlockRng rng(29);
+  std::vector<double> variates(2 * kCount);
+  sampler.fill(rng, variates.data(), variates.size());
+  std::vector<std::uint64_t> words(kCount);
+  for (auto _ : state) {
+    planeops::encode_samples(variates.data(), 2, kCount, 0.0, 0x1p32, 64, true, words.data());
+    benchmark::DoNotOptimize(words.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kCount));
+  state.SetLabel(to_string(planeops::active_backend()));
+}
+BENCHMARK(BM_PlaneEncodeSamples)->Arg(0)->Arg(1);
+
 void BM_PlanePopcountSum(benchmark::State& state) {
   const std::size_t m = static_cast<std::size_t>(state.range(0));
   const BackendScope scope(state.range(1) != 0);
@@ -376,10 +397,11 @@ void BM_RngGaussianBlock(benchmark::State& state) {
 BENCHMARK(BM_RngGaussianBlock)->Arg(0)->Arg(1);
 
 // The Gaussian sources' fill_batch at the dispatch-aware default lane width
-// (the width the engine runs): block ziggurat variates, the inline encode,
-// one limb-0 transpose per (operand, lane word) and the batch-level
-// sign-extension (twos) or zero (unsigned) planes above bit 63.  Args:
-// (width, 1 = two's complement / 0 = unsigned).
+// (the width the engine runs): block ziggurat variates, then per (operand,
+// lane word) the encode_samples and transpose_64x64 kernels and the limb-0
+// plane copy, and the batch-level copies of plane 63 (twos) or zero planes
+// (unsigned) above bit 63.  Args: (width, 1 = two's complement / 0 =
+// unsigned).
 void BM_GaussianFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const bool twos = state.range(1) != 0;
@@ -664,6 +686,11 @@ int write_perf_json(const std::string& path) {
     };
     alignas(64) std::uint64_t block[64];
     for (auto& row : block) row = rng();
+    // The encoder's BM_PlaneEncodeSamples shape: 1024 variates at stride 2.
+    arith::GaussianBlockSampler sampler;
+    std::vector<double> variates(2048);
+    sampler.fill(rng, variates.data(), variates.size());
+    std::vector<std::uint64_t> words(1024);
     const std::vector<Kernel> suite = {
         {"window_sweep_n512_w8",
          [&] {
@@ -683,6 +710,12 @@ int write_perf_json(const std::string& path) {
          [&] { benchmark::DoNotOptimize(planeops::popcount_sum(a.data(), 2048)); },
          256},
         {"transpose_64x64", [&] { planeops::transpose_64x64(block); }, 64},
+        {"encode_samples_1024",
+         [&] {
+           planeops::encode_samples(variates.data(), 2, words.size(), 0.0, 0x1p32, 64, true,
+                                    words.data());
+         },
+         1024},
     };
     bool first = true;
     for (const auto& kernel : suite) {

@@ -1,7 +1,6 @@
 #include "arith/distributions.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -118,130 +117,97 @@ std::pair<ApInt, ApInt> UniformTwosSource::next(BlockRng& rng) {
 
 namespace {
 
-// Round half to even — equal to std::nearbyint under the default rounding
-// mode.  For |x| < 2^51, x + 1.5 * 2^52 lies in [2^52, 2^53), where doubles
-// are spaced exactly 1 apart, so the addition itself rounds x to an
-// integer.  Larger magnitudes (and NaN) take the libm call.  The one
-// difference, +0.0 where nearbyint keeps a -0.0, vanishes in the integer
-// encodings below.
-inline double round_to_integer(double x) {
-  constexpr double kShift = 0x1.8p52;
-  if (std::fabs(x) < 0x1p51) [[likely]] return (x + kShift) - kShift;
-  return std::nearbyint(x);
-}
-
-// The encode body shared by the ApInt wrappers and the direct-to-plane
-// Gaussian fill: the raw 64-bit word of round(x), clamped to
-// [-2^(w-1), 2^(w-1) - 1] in two's complement (kTwos) or |round(x)| clamped
-// to [0, 2^w - 1], with w = min(width, 64).  The bounds are computed once
-// per encoder and every float-to-integer cast is in range, so values past
-// the range (including past int64/uint64 at widths >= 64) saturate.
-template <bool kTwos>
-class SampleEncoder {
- public:
-  explicit SampleEncoder(int width)
-      : bits_(std::min(width, 64) - (kTwos ? 1 : 0)),
-        limit_(std::ldexp(1.0, bits_)),
-        max_(bits_ == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits_) - 1) {}
-
-  std::uint64_t operator()(double x) const {
-    const double r = round_to_integer(x);
-    if constexpr (kTwos) {
-      const double low = r > -limit_ ? r : -limit_;  // NaN saturates low
-      return low < limit_ ? static_cast<std::uint64_t>(static_cast<std::int64_t>(low)) : max_;
-    }
-    const double mag = std::fabs(r);
-    return mag < limit_ ? static_cast<std::uint64_t>(mag) : max_;  // NaN saturates high
-  }
-
- private:
-  int bits_;
-  double limit_;       // 2^bits_, one past the top of the range
-  std::uint64_t max_;  // 2^bits_ - 1
-};
-
 // The one fill_batch body of both Gaussian sources, mirroring out.lanes() x
-// next(): variates a0 b0 a1 b1 ... from the shared block sampler (so the RNG
-// stream is exactly next()'s), encoded to raw limb-0 rows and transposed
-// one 64x64 block per (operand, lane word).  Samples carry at most 64 bits,
-// so every bit-plane >= 64 is constant per lane — zero for unsigned, the
-// lane-wise sign mask for two's complement — and those planes are written
-// once per batch, after the limb-0 planes.
-template <bool kTwos>
-void fill_gaussian_batch(const GaussianParams& params, GaussianBlockSampler& sampler,
+// next(): per lane word, 128 variates a0 b0 a1 b1 ... from the shared block
+// sampler (so the RNG stream is exactly next()'s), then per operand the
+// kernel pipeline encode (every other variate) -> 64x64 transpose -> copy
+// into its planes.  Samples carry at most 64 bits, so every bit-plane >= 64
+// repeats one run of lane_words words per operand: plane 63, the sign, for
+// two's complement, and zero for unsigned.
+void fill_gaussian_batch(bool twos, const GaussianParams& params, GaussianBlockSampler& sampler,
                          BlockRng& rng, BitSlicedBatch& out) {
   const int n = out.width();
   const int lane_words = out.lane_words();
-  const SampleEncoder<kTwos> encode(n);
   std::uint64_t* planes[2] = {out.a(), out.b()};
-  std::uint64_t sign[2][kMaxLaneWords] = {};
   for (int w = 0; w < lane_words; ++w) {
     double variates[2 * kBatchLanes];
     sampler.fill(rng, variates, 2 * kBatchLanes);
-    std::uint64_t rows[2][kBatchLanes];
-    std::uint64_t neg[2] = {0, 0};
-    for (int j = 0; j < kBatchLanes; ++j) {
-      for (int op = 0; op < 2; ++op) {
-        const std::uint64_t v = encode(params.mean + params.sigma * variates[2 * j + op]);
-        rows[op][j] = v;
-        if constexpr (kTwos) neg[op] |= (v >> 63) << j;
-      }
-    }
     for (int op = 0; op < 2; ++op) {
-      sign[op][w] = neg[op];
-      transpose_64x64(rows[op]);
-      block_to_planes(rows[op], 0, n, planes[op], lane_words, w);
+      alignas(planeops::kPlaneAlignment) std::uint64_t rows[kBatchLanes];
+      planeops::encode_samples(variates + op, 2, kBatchLanes, params.mean, params.sigma, n, twos,
+                               rows);
+      transpose_64x64(rows);
+      block_to_planes(rows, 0, n, planes[op], lane_words, w);
     }
   }
-  // Every plane >= 64 of an operand repeats one lane_words run (its sign
-  // masks, or zero): write the run once, then double the written prefix, so
-  // the region takes log2(n - 64) contiguous copies.
   if (n <= 64) return;
   const std::size_t run = static_cast<std::size_t>(lane_words);
   const std::size_t high_words = static_cast<std::size_t>(n - 64) * run;
-  for (int op = 0; op < 2; ++op) {
-    std::uint64_t* high = planes[op] + 64 * run;
-    std::copy_n(sign[op], run, high);
-    for (std::size_t done = run; done < high_words; done *= 2) {
-      std::copy_n(high, std::min(done, high_words - done), high + done);
+  for (std::uint64_t* op_planes : planes) {
+    std::uint64_t* high = op_planes + 64 * run;
+    if (!twos) {
+      std::fill_n(high, high_words, 0);
+      continue;
+    }
+    // Doubling copies from plane 63 on: log2(n - 63) contiguous copies.
+    std::uint64_t* sign = high - run;
+    const std::size_t total = run + high_words;
+    for (std::size_t done = run; done < total; done *= 2) {
+      std::copy_n(sign, std::min(done, total - done), sign + done);
     }
   }
+}
+
+// Draws a (a, b) variate pair and encodes it as raw words, like one lane of
+// fill_gaussian_batch.
+std::pair<std::uint64_t, std::uint64_t> next_gaussian_words(bool twos, int width,
+                                                            const GaussianParams& params,
+                                                            GaussianBlockSampler& sampler,
+                                                            BlockRng& rng) {
+  const double variates[2] = {sampler(rng), sampler(rng)};
+  std::uint64_t words[2];
+  planeops::encode_samples(variates, 1, 2, params.mean, params.sigma, width, twos, words);
+  return {words[0], words[1]};
 }
 
 }  // namespace
 
+// 0 + 1 * sample is sample itself (a -0.0 becomes +0.0, which encodes alike).
 ApInt encode_signed_sample(int width, double sample) {
-  return ApInt::from_i64(width, static_cast<std::int64_t>(SampleEncoder<true>(width)(sample)));
+  std::uint64_t word;
+  planeops::encode_samples(&sample, 1, 1, 0.0, 1.0, width, true, &word);
+  return ApInt::from_i64(width, static_cast<std::int64_t>(word));
 }
 
 ApInt encode_unsigned_sample(int width, double sample) {
-  return ApInt::from_u64(width, SampleEncoder<false>(width)(sample));
+  std::uint64_t word;
+  planeops::encode_samples(&sample, 1, 1, 0.0, 1.0, width, false, &word);
+  return ApInt::from_u64(width, word);
 }
 
 std::pair<ApInt, ApInt> GaussianUnsignedSource::next(BlockRng& rng) {
-  const double a = params_.mean + params_.sigma * sampler_(rng);
-  const double b = params_.mean + params_.sigma * sampler_(rng);
-  return {encode_unsigned_sample(width(), a), encode_unsigned_sample(width(), b)};
+  const auto [a, b] = next_gaussian_words(false, width(), params_, sampler_, rng);
+  return {ApInt::from_u64(width(), a), ApInt::from_u64(width(), b)};
 }
 
 std::pair<ApInt, ApInt> GaussianTwosSource::next(BlockRng& rng) {
-  const double a = params_.mean + params_.sigma * sampler_(rng);
-  const double b = params_.mean + params_.sigma * sampler_(rng);
-  return {encode_signed_sample(width(), a), encode_signed_sample(width(), b)};
+  const auto [a, b] = next_gaussian_words(true, width(), params_, sampler_, rng);
+  return {ApInt::from_i64(width(), static_cast<std::int64_t>(a)),
+          ApInt::from_i64(width(), static_cast<std::int64_t>(b))};
 }
 
 void GaussianUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("GaussianUnsignedSource::fill_batch: batch width mismatch");
   }
-  fill_gaussian_batch<false>(params_, sampler_, rng, out);
+  fill_gaussian_batch(false, params_, sampler_, rng, out);
 }
 
 void GaussianTwosSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   if (out.width() != width()) {
     throw std::invalid_argument("GaussianTwosSource::fill_batch: batch width mismatch");
   }
-  fill_gaussian_batch<true>(params_, sampler_, rng, out);
+  fill_gaussian_batch(true, params_, sampler_, rng, out);
 }
 
 std::string to_string(InputDistribution dist) {

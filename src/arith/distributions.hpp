@@ -129,10 +129,10 @@ class GaussianUnsignedSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-unsigned"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: bulk ziggurat variates encoded straight into transpose
-  /// blocks — samples are at most 64 bits of magnitude, so only the limb-0
-  /// block is transposed and every higher bit-plane is zeroed once per
-  /// batch.
+  /// Fast path: bulk ziggurat variates through the planeops encode and
+  /// transpose kernels — samples are at most 64 bits of magnitude, so only
+  /// the limb-0 block is transposed and every higher bit-plane is zeroed
+  /// once per batch.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);
@@ -154,8 +154,9 @@ class GaussianTwosSource final : public OperandSource {
   [[nodiscard]] std::string name() const override { return "gaussian-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: the same shared fill as GaussianUnsignedSource::fill_batch,
-  /// plus sign extension — every bit-plane above limb 0 is the lane-wise
-  /// sign mask, written once per batch with no extra transposes.
+  /// plus sign extension — every bit-plane above limb 0 repeats plane 63,
+  /// the lane-wise sign mask, copied once per batch with no extra
+  /// transposes.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianTwosSource>(width(), params_);
@@ -187,8 +188,9 @@ enum class InputDistribution {
 /// Rounds a double sample to the nearest integer (ties to even, as
 /// std::nearbyint), clamps it to the representable signed range of `width`
 /// bits and encodes it in two's complement.  Widths >= 64 saturate to the
-/// int64 range [-2^63, 2^63 - 1]; NaN encodes the range minimum.  Exposed
-/// for testing.
+/// int64 range [-2^63, 2^63 - 1]; NaN encodes the range minimum.  One
+/// sample through planeops::encode_samples, the encoder every Gaussian path
+/// shares.  Exposed for testing.
 [[nodiscard]] ApInt encode_signed_sample(int width, double sample);
 
 /// Rounds a double sample like encode_signed_sample and clamps its magnitude

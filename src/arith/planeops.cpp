@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -126,6 +127,53 @@ void transpose_scalar(std::uint64_t block[64]) {
       block[k] ^= t << j;
       block[k | j] ^= t;
     }
+  }
+}
+
+// The range of one encode_samples call, computed once per call: with
+// bits = min(width, 64) - (twos ? 1 : 0), limit = 2^bits is one past the top
+// of the range and max = 2^bits - 1 its saturated word.  Every
+// float-to-integer conversion the bodies make is of a value inside the
+// range, so nothing overflows a cast.
+struct EncodeBounds {
+  bool twos;
+  double limit;
+  std::uint64_t max;
+};
+
+// Round half to even, equal to std::nearbyint under the default rounding
+// mode.  For |x| < 2^51, x + 1.5 * 2^52 lies in [2^52, 2^53), where doubles
+// are spaced exactly 1 apart, so the addition itself rounds x to an
+// integer.  Larger magnitudes (and NaN) take the libm call.  The one
+// difference, +0.0 where nearbyint keeps a -0.0, vanishes in the integer
+// encodings.
+inline double round_to_integer(double x) {
+  constexpr double kShift = 0x1.8p52;
+  if (std::fabs(x) < 0x1p51) [[likely]] return (x + kShift) - kShift;
+  return std::nearbyint(x);
+}
+
+template <bool kTwos>
+void encode_scalar_body(const double* x, std::size_t stride, std::size_t count, double mean,
+                        double sigma, const EncodeBounds& e, std::uint64_t* out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const double r = round_to_integer(mean + sigma * x[i * stride]);
+    if constexpr (kTwos) {
+      const double low = r > -e.limit ? r : -e.limit;  // NaN saturates low
+      out[i] = low < e.limit ? static_cast<std::uint64_t>(static_cast<std::int64_t>(low)) : e.max;
+    } else {
+      const double mag = std::fabs(r);
+      out[i] = mag < e.limit ? static_cast<std::uint64_t>(mag) : e.max;  // NaN saturates high
+    }
+  }
+}
+
+void encode_scalar(const double* x, std::size_t stride, std::size_t count, double mean,
+                   double sigma, const EncodeBounds& e, std::uint64_t* out) {
+  if (e.twos) {
+    encode_scalar_body<true>(x, stride, count, mean, sigma, e, out);
+  } else {
+    encode_scalar_body<false>(x, stride, count, mean, sigma, e, out);
   }
 }
 
@@ -274,10 +322,10 @@ __attribute__((target("avx2"))) void transpose_avx2(std::uint64_t block[64]) {
 //
 // Same per-function target-attribute scheme as AVX2 (stock builds carry the
 // bodies, runtime cpuid picks them), at twice the width: 8 plane words per
-// vector.  Requires avx512f+avx512bw; the vpopcntdq popcount kernel is a
-// separate dispatch row so Skylake-class parts (avx512bw without vpopcntdq)
-// still get the 512-bit boolean/prefix kernels with the hardware-popcnt
-// reduction.
+// vector.  Requires avx512f+bw+dq.  The vpopcntdq popcount and the
+// gfni+vbmi transpose make up a second dispatch row, so Skylake-class parts
+// still get the 512-bit sweeps and encode, with the hardware-popcnt
+// reduction and the AVX2 transpose.
 
 #if VLCSA_HAVE_AVX2_BACKEND  // same toolchain gate: x86-64 gcc/clang
 #define VLCSA_HAVE_AVX512_BACKEND 1
@@ -397,47 +445,124 @@ __attribute__((target("avx512f,avx512bw"))) void run_avx512(
 }
 
 
-// Same recursive block swap as the scalar transpose; sub-block sizes >= 8
-// handle eight rows per 512-bit op (runs of consecutive k with bit j clear
-// have length j, a multiple of 8 there), size 4 uses one 256-bit op (avx512f
-// implies avx2), sizes 2 and 1 finish scalar.
-__attribute__((target("avx512f,avx512bw"))) void transpose_avx512(std::uint64_t block[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFULL;
-  int j = 32;
-  for (; j >= 8; m ^= m << (j >>= 1)) {
-    const __m512i vm = _mm512_set1_epi64(static_cast<long long>(m));
-    for (int base = 0; base < 64; base += 2 * j) {
-      for (int k = base; k < base + j; k += 8) {
-        const __m512i lo = _mm512_loadu_si512(block + k);
-        const __m512i hi = _mm512_loadu_si512(block + k + j);
-        const __m512i t = _mm512_and_si512(
-            _mm512_xor_si512(_mm512_srli_epi64(lo, static_cast<unsigned>(j)), hi), vm);
-        _mm512_storeu_si512(block + k,
-                            _mm512_xor_si512(lo, _mm512_slli_epi64(t, static_cast<unsigned>(j))));
-        _mm512_storeu_si512(block + k + j, _mm512_xor_si512(hi, t));
-      }
+// The transpose in registers, as 8x8 tiles of 8x8 bits: register r holds
+// rows 8r .. 8r + 7, and its qword c (after the first vpermb) the tile of
+// column bits 8c .. 8c + 7, one byte per row.
+//  1. vpermb gathers byte c of every row into qword c, rows in reverse
+//     order (byte i = row 7 - i): vgf2p8affineqb reads its matrix rows
+//     high byte first, and the reversal cancels that.
+//  2. An 8x8 qword transpose across the registers (three block-swap stages
+//     of vpermt2q) brings the tiles of column group c into register c.
+//  3. vgf2p8affineqb with the identity operand 0x8040201008040201
+//     transposes each tile: byte k of tile (r, c) becomes column bit
+//     8c + k of rows 8r .. 8r + 7, i.e. byte r of output row 8c + k.
+//  4. vpermb gathers byte r of every tile into qword k, so register c is
+//     output rows 8c .. 8c + 7.
+struct GfniTables {
+  std::uint8_t tile_rows[64];   // step 1: byte 8c + i <- byte 8(7 - i) + c
+  std::uint8_t tile_cols[64];   // step 4: byte 8k + r <- byte 8r + k
+  std::uint64_t swap_lo[3][8];  // step 2, stages d = 4, 2, 1: the low register
+  std::uint64_t swap_hi[3][8];  // and the high register of each pair
+};
+
+constexpr GfniTables make_gfni_tables() {
+  GfniTables t{};
+  for (int c = 0; c < 8; ++c) {
+    for (int i = 0; i < 8; ++i) {
+      t.tile_rows[8 * c + i] = static_cast<std::uint8_t>(8 * (7 - i) + c);
+      t.tile_cols[8 * c + i] = static_cast<std::uint8_t>(8 * i + c);
     }
   }
-  {
-    const __m256i vm = _mm256_set1_epi64x(static_cast<long long>(m));
-    for (int k = 0; k < 64; k += 8) {
-      const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k));
-      const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(block + k + 4));
-      const __m256i t = _mm256_and_si256(_mm256_xor_si256(_mm256_srli_epi64(lo, 4), hi), vm);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k),
-                          _mm256_xor_si256(lo, _mm256_slli_epi64(t, 4)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(block + k + 4),
-                          _mm256_xor_si256(hi, t));
+  // Block swap at distance d: qword q of the low register takes the high
+  // register's qword q - d where q has bit d set, and the high register
+  // takes the low one's q + d where q has it clear (vpermt2q indices >= 8
+  // select the second source).
+  for (int s = 0, d = 4; s < 3; ++s, d >>= 1) {
+    for (int q = 0; q < 8; ++q) {
+      t.swap_lo[s][q] = static_cast<std::uint64_t>((q & d) != 0 ? 8 + (q ^ d) : q);
+      t.swap_hi[s][q] = static_cast<std::uint64_t>((q & d) != 0 ? 8 + q : q ^ d);
     }
-    m ^= m << 2;
-    j = 2;
   }
-  for (; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((block[k] >> j) ^ block[k | j]) & m;
-      block[k] ^= t << j;
-      block[k | j] ^= t;
+  return t;
+}
+
+alignas(64) constexpr GfniTables kGfniTables = make_gfni_tables();
+
+__attribute__((target("avx512f,avx512bw,avx512vbmi,gfni"))) void transpose_gfni(
+    std::uint64_t block[64]) {
+  const __m512i tile_rows = _mm512_loadu_si512(kGfniTables.tile_rows);
+  __m512i v[8];
+#pragma GCC unroll 8
+  for (int r = 0; r < 8; ++r) {
+    v[r] = _mm512_permutexvar_epi8(tile_rows, _mm512_loadu_si512(block + 8 * r));
+  }
+#pragma GCC unroll 3
+  for (int s = 0, d = 4; s < 3; ++s, d >>= 1) {
+    const __m512i lo_index = _mm512_loadu_si512(kGfniTables.swap_lo[s]);
+    const __m512i hi_index = _mm512_loadu_si512(kGfniTables.swap_hi[s]);
+#pragma GCC unroll 8
+    for (int r = 0; r < 8; ++r) {
+      if ((r & d) != 0) continue;
+      const __m512i lo = v[r];
+      const __m512i hi = v[r + d];
+      v[r] = _mm512_permutex2var_epi64(lo, lo_index, hi);
+      v[r + d] = _mm512_permutex2var_epi64(lo, hi_index, hi);
     }
+  }
+  const __m512i identity = _mm512_set1_epi64(0x8040201008040201LL);
+  const __m512i tile_cols = _mm512_loadu_si512(kGfniTables.tile_cols);
+#pragma GCC unroll 8
+  for (int c = 0; c < 8; ++c) {
+    _mm512_storeu_si512(block + 8 * c,
+                        _mm512_permutexvar_epi8(
+                            tile_cols, _mm512_gf2p8affine_epi64_epi8(identity, v[c], 0)));
+  }
+}
+
+// Eight samples per zmm: whole vectors at stride 2 (the Gaussian fill's
+// interleaved operands) are two loads and a vpermt2pd, the second load
+// masked to stop at the last sample read, x[i * stride + 14]; everything
+// else is a gather, masked along with the store for the last count % 8.  The _round forms of the multiply
+// and add are the scalar body's two roundings (a plain _mm512_mul_pd /
+// _mm512_add_pd pair is a generic vector expression GCC may contract into an
+// FMA); vroundscalepd rounds half to even like round_to_integer; vmaxpd(r,
+// low) is exactly r > low ? r : low, NaN included; and the conversions only
+// ever see in-range values, the rest blending to max.
+__attribute__((target("avx512f,avx512dq"))) void encode_avx512(
+    const double* x, std::size_t stride, std::size_t count, double mean, double sigma,
+    const EncodeBounds& e, std::uint64_t* out) {
+  constexpr int kNearest = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+  const __m512d vmean = _mm512_set1_pd(mean);
+  const __m512d vsigma = _mm512_set1_pd(sigma);
+  const __m512d limit = _mm512_set1_pd(e.limit);
+  const __m512d low = _mm512_set1_pd(-e.limit);
+  const __m512i max = _mm512_set1_epi64(static_cast<long long>(e.max));
+  const __m512i index = _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                                           _mm512_set1_epi64(static_cast<long long>(stride)));
+  const __m512i evens = _mm512_set_epi64(14, 12, 10, 8, 6, 4, 2, 0);
+  for (std::size_t i = 0; i < count; i += 8) {
+    const bool full = count - i >= 8;
+    const __mmask8 live = full ? __mmask8{0xFF} : static_cast<__mmask8>((1u << (count - i)) - 1);
+    const double* src = x + i * stride;
+    const __m512d v =
+        stride == 2 && full
+            ? _mm512_permutex2var_pd(_mm512_loadu_pd(src), evens,
+                                     _mm512_maskz_loadu_pd(0x7F, src + 8))
+            : _mm512_mask_i64gather_pd(_mm512_setzero_pd(), live, index, src, 8);
+    const __m512d r = _mm512_roundscale_pd(
+        _mm512_add_round_pd(_mm512_mul_round_pd(v, vsigma, kNearest), vmean, kNearest),
+        kNearest);
+    __m512i word;
+    if (e.twos) {
+      const __m512d clamped = _mm512_max_pd(r, low);
+      word = _mm512_mask_blend_epi64(_mm512_cmp_pd_mask(clamped, limit, _CMP_LT_OQ), max,
+                                     _mm512_cvttpd_epi64(clamped));
+    } else {
+      const __m512d mag = _mm512_abs_pd(r);
+      word = _mm512_mask_blend_epi64(_mm512_cmp_pd_mask(mag, limit, _CMP_LT_OQ), max,
+                                     _mm512_cvttpd_epu64(mag));
+    }
+    _mm512_mask_storeu_epi64(out + i, live, word);
   }
 }
 
@@ -459,26 +584,33 @@ struct Kernels {
   void (*run)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, std::uint64_t*,
               std::uint64_t*, std::uint64_t*);
   void (*transpose)(std::uint64_t*);
+  void (*encode)(const double*, std::size_t, std::size_t, double, double, const EncodeBounds&,
+                 std::uint64_t*);
 };
 
 constexpr Kernels kScalarKernels = {
     Backend::kScalar, popcount_scalar, window_scalar, run_scalar, transpose_scalar,
+    encode_scalar,
 };
 
 #if VLCSA_HAVE_AVX2_BACKEND
 constexpr Kernels kAvx2Kernels = {
-    Backend::kAvx2, popcount_avx2, window_avx2, run_avx2, transpose_avx2,
+    Backend::kAvx2, popcount_avx2, window_avx2, run_avx2, transpose_avx2, encode_scalar,
 };
 #endif
 
 #if VLCSA_HAVE_AVX512_BACKEND
+// Ice Lake-class row (Zen 4 too): avx512f+bw+dq plus vpopcntdq, gfni and
+// avx512vbmi.
 constexpr Kernels kAvx512Kernels = {
-    Backend::kAvx512, popcount_avx512, window_avx512, run_avx512, transpose_avx512,
+    Backend::kAvx512, popcount_avx512, window_avx512, run_avx512, transpose_gfni,
+    encode_avx512,
 };
-// Skylake-class row: avx512f+avx512bw without avx512vpopcntdq keeps the
-// 512-bit kernels but reduces with the hardware-popcnt loop.
-constexpr Kernels kAvx512KernelsNoVpopcnt = {
-    Backend::kAvx512, popcount_avx2, window_avx512, run_avx512, transpose_avx512,
+// Skylake-class row: avx512f+bw+dq without the later extensions keeps the
+// 512-bit sweeps and encode, but reduces with the hardware-popcnt loop and
+// transposes with the AVX2 body.
+constexpr Kernels kAvx512KernelsSkylake = {
+    Backend::kAvx512, popcount_avx2, window_avx512, run_avx512, transpose_avx2, encode_avx512,
 };
 #endif
 
@@ -486,7 +618,7 @@ constexpr Kernels kAvx512KernelsNoVpopcnt = {
 // No NEON bodies remain: every kernel is the scalar one, kept as its own
 // row so the backend still names itself.
 constexpr Kernels kNeonKernels = {
-    Backend::kNeon, popcount_scalar, window_scalar, run_scalar, transpose_scalar,
+    Backend::kNeon, popcount_scalar, window_scalar, run_scalar, transpose_scalar, encode_scalar,
 };
 #endif
 
@@ -501,9 +633,12 @@ const Kernels* kernels_for(Backend backend) {
       return nullptr;
     case Backend::kAvx512:
 #if VLCSA_HAVE_AVX512_BACKEND
-      if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) {
-        return __builtin_cpu_supports("avx512vpopcntdq") ? &kAvx512Kernels
-                                                         : &kAvx512KernelsNoVpopcnt;
+      if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+          __builtin_cpu_supports("avx512dq")) {
+        return __builtin_cpu_supports("avx512vpopcntdq") && __builtin_cpu_supports("gfni") &&
+                       __builtin_cpu_supports("avx512vbmi")
+                   ? &kAvx512Kernels
+                   : &kAvx512KernelsSkylake;
       }
 #endif
       return nullptr;
@@ -621,5 +756,16 @@ void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_w
 }
 
 void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }
+
+void encode_samples(const double* x, std::size_t stride, std::size_t count, double mean,
+                    double sigma, int width, bool twos, std::uint64_t* out) {
+  assert(width >= 1 && stride >= 1);
+  const int bits = std::min(width, 64) - (twos ? 1 : 0);
+  // 2^bits built from its exponent field (bits <= 64, far from overflow).
+  const EncodeBounds bounds = {
+      twos, std::bit_cast<double>(static_cast<std::uint64_t>(1023 + bits) << 52),
+      bits == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << bits) - 1};
+  active().encode(x, stride, count, mean, sigma, bounds, out);
+}
 
 }  // namespace vlcsa::arith::planeops

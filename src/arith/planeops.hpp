@@ -79,7 +79,7 @@ using PlaneVec = std::vector<std::uint64_t, AlignedAllocator<std::uint64_t>>;
 enum class Backend {
   kScalar,
   kAvx2,
-  kAvx512,  // needs avx512f+avx512bw; vpopcntdq picked up separately when present
+  kAvx512,  // needs avx512f+bw+dq; vpopcntdq+gfni+vbmi picked up together when present
   kNeon,
 };
 
@@ -146,5 +146,18 @@ void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_w
 
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i.
 void transpose_64x64(std::uint64_t block[64]);
+
+/// Encodes real samples as raw operand words: for i < count, out[i] is
+/// r = round(mean + sigma * x[i * stride]), rounded half to even (as
+/// std::nearbyint), with the multiply and the add each rounded once (never
+/// fused).  With w = min(width, 64):
+///  * twos:     r clamped to [-2^(w-1), 2^(w-1) - 1], as the 64-bit two's-
+///              complement word (sign-extended above bit w - 1); NaN
+///              encodes the range minimum.
+///  * unsigned: |r| clamped to [0, 2^w - 1]; NaN encodes the maximum.
+/// Values past the range, including past int64/uint64 at widths >= 64,
+/// saturate.  Requires width >= 1 and stride >= 1.
+void encode_samples(const double* x, std::size_t stride, std::size_t count, double mean,
+                    double sigma, int width, bool twos, std::uint64_t* out);
 
 }  // namespace vlcsa::arith::planeops

@@ -13,7 +13,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <random>
+#include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "arith/apint.hpp"
 #include "arith/distributions.hpp"
@@ -281,36 +284,61 @@ INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, SweepApIntTest,
 // fill_batch contract: same samples, same RNG consumption as lanes() x next().
 // The batch starts dirty and is filled twice, so every plane of each fill
 // (the Gaussian sources' batch-level high planes included) must overwrite
-// what was there.
+// what was there.  The next() sequence is drawn once on the scalar backend,
+// the oracle, and the fills run on every available backend against it.
+void expect_fill_matches_next(const OperandSource& proto, int lane_words) {
+  // Restores the entry backend on every exit, failed assertions included.
+  struct RestoreBackend {
+    planeops::Backend prev = planeops::active_backend();
+    ~RestoreBackend() { planeops::set_backend(prev); }
+  } restore;
+  constexpr int kFills = 2;
+  const int width = proto.width();
+
+  ASSERT_TRUE(planeops::set_backend(planeops::Backend::kScalar));
+  vlcsa::arith::BlockRng rng_scalar(99);
+  const auto scalar_source = proto.clone();
+  std::vector<std::pair<ApInt, ApInt>> expected;
+  for (int j = 0; j < kFills * kBatchLanes * lane_words; ++j) {
+    expected.push_back(scalar_source->next(rng_scalar));
+  }
+  const std::uint64_t next_draw = rng_scalar();
+
+  const std::size_t plane_words =
+      static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
+  for (const planeops::Backend backend :
+       {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512,
+        planeops::Backend::kNeon}) {
+    if (!planeops::set_backend(backend)) continue;
+    const auto where = [&] {
+      return std::string(to_string(backend)) + " " + proto.name() + " width " +
+             std::to_string(width) + " W " + std::to_string(lane_words);
+    };
+    vlcsa::arith::BlockRng rng_batch(99);
+    BitSlicedBatch batch(width, lane_words);
+    std::fill_n(batch.a(), plane_words, ~std::uint64_t{0});
+    std::fill_n(batch.b(), plane_words, 0x5555555555555555ULL);
+    const auto batch_source = proto.clone();
+    for (int fill = 0; fill < kFills; ++fill) {
+      batch_source->fill_batch(rng_batch, batch);
+      for (int j = 0; j < batch.lanes(); ++j) {
+        const auto& [a, b] = expected[static_cast<std::size_t>(fill * batch.lanes() + j)];
+        const auto [la, lb] = batch.lane(j);
+        ASSERT_EQ(la, a) << where() << " fill " << fill << " lane " << j;
+        ASSERT_EQ(lb, b) << where() << " fill " << fill << " lane " << j;
+      }
+    }
+    // Identical consumption: the next raw draw must agree.
+    EXPECT_EQ(rng_batch(), next_draw) << where();
+  }
+}
+
 class FillBatchTest
     : public ::testing::TestWithParam<std::tuple<InputDistribution, int, int>> {};
 
 TEST_P(FillBatchTest, MatchesScalarStreamAndRngState) {
   const auto [dist, width, lane_words] = GetParam();
-  const auto proto = make_source(dist, width);
-
-  vlcsa::arith::BlockRng rng_batch(99), rng_scalar(99);
-  BitSlicedBatch batch(width, lane_words);
-  const std::size_t plane_words =
-      static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
-  std::fill_n(batch.a(), plane_words, ~std::uint64_t{0});
-  std::fill_n(batch.b(), plane_words, 0x5555555555555555ULL);
-  const auto batch_source = proto->clone();
-  const auto scalar_source = proto->clone();
-  for (int fill = 0; fill < 2; ++fill) {
-    batch_source->fill_batch(rng_batch, batch);
-    for (int j = 0; j < batch.lanes(); ++j) {
-      const auto [a, b] = scalar_source->next(rng_scalar);
-      const auto [la, lb] = batch.lane(j);
-      ASSERT_EQ(la, a) << proto->name() << " width " << width << " fill " << fill << " lane "
-                       << j;
-      ASSERT_EQ(lb, b) << proto->name() << " width " << width << " fill " << fill << " lane "
-                       << j;
-    }
-  }
-  // Identical consumption: the next raw draw must agree.
-  EXPECT_EQ(rng_batch(), rng_scalar())
-      << proto->name() << " width " << width << " W " << lane_words;
+  expect_fill_matches_next(*make_source(dist, width), lane_words);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -329,6 +357,29 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(InputDistribution::kGaussianUnsigned,
                                          InputDistribution::kGaussianTwos),
                        ::testing::Values(63, 65, 512), ::testing::Values(1, 8, 16)));
+
+// The Gaussian fill with params where the affine step rounds (3.5, 1000.3),
+// lands on ties (0.5, 0.5) and saturates (sigma = 2^62, the second one
+// centred on the negative end), at widths 1 and 31 besides the limb-0
+// boundary and the benchmark width, with a lane width that leaves columns
+// over for narrower SIMD bodies.  The last parameter indexes kFillParams.
+const GaussianParams kFillParams[] = {
+    {3.5, 1000.3}, {0.5, 0.5}, {0.0, 0x1p62}, {-0x1p62, 0x1p62}};
+
+class GaussianParamsFillBatchTest
+    : public ::testing::TestWithParam<std::tuple<InputDistribution, int, int, int>> {};
+
+TEST_P(GaussianParamsFillBatchTest, MatchesScalarStreamAndRngState) {
+  const auto [dist, width, lane_words, params] = GetParam();
+  expect_fill_matches_next(*make_source(dist, width, kFillParams[params]), lane_words);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ParamsByWidthByLaneWords, GaussianParamsFillBatchTest,
+    ::testing::Combine(::testing::Values(InputDistribution::kGaussianUnsigned,
+                                         InputDistribution::kGaussianTwos),
+                       ::testing::Values(1, 31, 64, 65, 512), ::testing::Values(1, 3, 8),
+                       ::testing::Range(0, 4)));
 
 // The uniform source's plane-order stream at every lane width: whole runs
 // of batches reproduce the next() sequence sample for sample, across

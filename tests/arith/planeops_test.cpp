@@ -3,15 +3,19 @@
 // results to the scalar oracle on every kernel, including ragged tails and
 // the shape-sensitive window and run sweeps at lane widths that leave
 // leftover columns for the scalar body.  The scalar sweeps are in turn
-// pinned to a naive per-bit reference.  Also covers the dispatch surface:
-// backend naming, availability, and the set_backend contract.
+// pinned to a naive per-bit reference, and the sample encoder to a
+// nearbyint reference.  Also covers the dispatch surface: backend naming,
+// availability, and the set_backend contract.
 
 #include "arith/planeops.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <utility>
 #include <vector>
@@ -280,22 +284,127 @@ TEST_P(PlaneOpsBackendTest, RunSweepMatchesScalar) {
   }
 }
 
+// 1000 random blocks against a naive bit gather, half of them at an
+// interior pointer 8 bytes off the cache line (the bodies use unaligned
+// loads and stores), and the transpose as an involution.
 TEST_P(PlaneOpsBackendTest, TransposeMatchesNaiveBitGather) {
   std::mt19937_64 rng(5);
-  alignas(kPlaneAlignment) std::uint64_t block[64];
-  for (auto& row : block) row = rng();
-  std::uint64_t expected[64] = {};
-  for (int r = 0; r < 64; ++r) {
-    for (int c = 0; c < 64; ++c) {
-      expected[c] |= ((block[r] >> c) & 1) << r;
+  PlaneVec storage(65);
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::uint64_t* block = storage.data() + trial % 2;
+    for (int r = 0; r < 64; ++r) block[r] = rng();
+    // Sparse and dense blocks too, so single bits and holes cross every tile.
+    if (trial % 5 == 1) for (int r = 0; r < 64; ++r) block[r] &= rng() & rng();
+    if (trial % 5 == 2) for (int r = 0; r < 64; ++r) block[r] |= rng() | rng();
+    const std::vector<std::uint64_t> original(block, block + 64);
+    std::uint64_t expected[64] = {};
+    for (int r = 0; r < 64; ++r) {
+      for (int c = 0; c < 64; ++c) {
+        expected[c] |= ((original[r] >> c) & 1) << r;
+      }
+    }
+    transpose_64x64(block);
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(block[i], expected[i]) << "trial " << trial << " row " << i;
+    }
+    transpose_64x64(block);
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_EQ(block[i], original[i]) << "trial " << trial << " row " << i;
     }
   }
-  transpose_64x64(block);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], expected[i]) << "row " << i;
-  // Involution.
-  transpose_64x64(block);
-  std::mt19937_64 rng2(5);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(block[i], rng2()) << "row " << i;
+}
+
+// The encode contract written out with std::nearbyint: the product rounds
+// on its own before the add (the volatile keeps this file's compiler from
+// fusing them), then the clamp of planeops.hpp.
+std::uint64_t reference_encode(double x, double mean, double sigma, int width, bool twos) {
+  const volatile double product = sigma * x;
+  const double r = std::nearbyint(product + mean);
+  const int w = std::min(width, 64);
+  if (twos) {
+    const double top = std::ldexp(1.0, w - 1);
+    const std::uint64_t low = ~std::uint64_t{0} << (w - 1);  // -2^(w-1), sign-extended
+    if (std::isnan(r) || r <= -top) return low;
+    if (r >= top) return ~low;
+    return static_cast<std::uint64_t>(static_cast<std::int64_t>(r));
+  }
+  const double mag = std::fabs(r);
+  const std::uint64_t max = w == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << w) - 1;
+  if (std::isnan(mag) || mag >= std::ldexp(1.0, w)) return max;
+  return static_cast<std::uint64_t>(mag);
+}
+
+// The encoder's edge cases: signed zeros, ties to even, the 2^51 / 2^52
+// rounding boundaries, every tested width's range ends and one past them,
+// the int64/uint64 ends, infinities, NaN, and random values of every
+// magnitude.
+std::vector<double> encode_edge_values() {
+  std::vector<double> v = {0.0, 0.5, 1.5, 2.5, 3.5, 1e6 + 0.5, 0x1p50 + 0.5, 0x1p50 + 1.5,
+                           0.49999999999999994, 1e30, INFINITY};
+  for (const double p : {0x1p51, 0x1p52, 0x1p63, 0x1p64}) {
+    v.insert(v.end(), {p, std::nextafter(p, 0.0), std::nextafter(p, INFINITY)});
+  }
+  for (const int width : {1, 2, 8, 32, 63, 64, 65, 512}) {
+    for (const int bits : {std::min(width, 64) - 1, std::min(width, 64)}) {
+      const double limit = std::ldexp(1.0, bits);
+      v.insert(v.end(), {limit, limit - 1, limit + 1});
+    }
+  }
+  std::mt19937_64 rng(11);
+  std::normal_distribution<double> normal;
+  for (int i = 0; i < 200; ++i) {
+    v.push_back(std::ldexp(normal(rng), static_cast<int>(rng() % 140) - 20));
+  }
+  const std::size_t positives = v.size();
+  for (std::size_t i = 0; i < positives; ++i) v.push_back(-v[i]);
+  v.push_back(std::numeric_limits<double>::quiet_NaN());
+  return v;
+}
+
+// Backend vs the scalar body vs the reference, over both encodings, the
+// affine params the fill tests use, strides 1 and 2, and counts that leave
+// a masked tail; words past `count` must stay untouched.
+TEST_P(PlaneOpsBackendTest, EncodeSamplesMatchesScalar) {
+  const std::vector<double> values = encode_edge_values();
+  const std::pair<double, double> params[] = {
+      {0.0, 1.0}, {3.5, 1000.3}, {0.5, 0.5}, {0.0, 0x1p62}, {-0x1p62, 0x1p62}};
+  constexpr std::uint64_t kSentinel = 0xA5A5A5A5A5A5A5A5ULL;
+  for (const int width : {1, 2, 8, 32, 63, 64, 65, 512}) {
+    for (const bool twos : {false, true}) {
+      for (const auto& [mean, sigma] : params) {
+        for (const std::size_t stride : {1u, 2u}) {
+          const std::size_t all = values.size() / stride;
+          for (const std::size_t count : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                                          std::size_t{8}, std::size_t{13}, all}) {
+            // The input ends at the last sample read, so a sanitizer build
+            // catches any load past it.
+            const std::size_t span = count == 0 ? 0 : (count - 1) * stride + 1;
+            const std::vector<double> input(values.begin(),
+                                            values.begin() + static_cast<std::ptrdiff_t>(span));
+            std::vector<std::uint64_t> got(count + 8, kSentinel), scalar(count + 8, kSentinel);
+            ASSERT_TRUE(set_backend(GetParam()));
+            encode_samples(input.data(), stride, count, mean, sigma, width, twos, got.data());
+            ASSERT_TRUE(set_backend(Backend::kScalar));
+            encode_samples(input.data(), stride, count, mean, sigma, width, twos, scalar.data());
+            for (std::size_t i = 0; i < count; ++i) {
+              const double x = input[i * stride];
+              ASSERT_EQ(scalar[i], reference_encode(x, mean, sigma, width, twos))
+                  << "scalar width " << width << " twos " << twos << " (" << mean << ", "
+                  << sigma << ") x " << x;
+              ASSERT_EQ(got[i], scalar[i])
+                  << to_string(GetParam()) << " width " << width << " twos " << twos << " ("
+                  << mean << ", " << sigma << ") stride " << stride << " count " << count
+                  << " x " << x;
+            }
+            for (std::size_t i = count; i < count + 8; ++i) {
+              ASSERT_EQ(got[i], kSentinel) << to_string(GetParam()) << " count " << count;
+              ASSERT_EQ(scalar[i], kSentinel) << "scalar count " << count;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, PlaneOpsBackendTest,
