@@ -7,14 +7,13 @@
 // --json=FILE switches to the machine-readable perf record instead of the
 // google-benchmark run: a curated suite timing each plane kernel (scalar vs
 // the best dispatched backend), the RNG subsystem (std engine vs block
-// generation, operand fill before/after the direct-to-plane path), the
-// Gaussian sampling subsystem (block ziggurat vs the per-call
-// std::normal_distribution it replaced, through to the table7.1-style
-// error-rate loop), the end-to-end batched sampling loop against the
-// PR 2 baseline (single lane word, scalar backend), and the service
-// daemon's cached-hit request path (observability off vs trace log on),
-// written as one JSON object (schema vlcsa-perf-5; every record names the
-// planeops backend it was measured on).  CI uploads this as the
+// generation, and the direct-to-plane uniform operand fill), the Gaussian
+// sampling subsystem (block ziggurat, operand fill, and the table7.1-style
+// error-rate loop), the end-to-end batched sampling loop against the PR 2
+// baseline (single lane word, scalar backend), and the service daemon's
+// cached-hit request path (observability off vs trace log on), written as
+// one JSON object (schema vlcsa-perf-6; every record names the planeops
+// backend it was measured on).  CI uploads this as the
 // BENCH_batch.json artifact so the perf trajectory is tracked across PRs.
 
 #include <benchmark/benchmark.h>
@@ -255,40 +254,6 @@ BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Arg
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
 // feeds.  Args where present: (0 = scalar backend / 1 = auto-dispatched).
 
-/// The pre-BlockRng uniform fill: one std::mt19937_64 draw per limb per
-/// sample into the transpose blocks — exactly what
-/// UniformUnsignedSource::fill_batch did at PR 4.  The baseline both the
-/// BM_RngFillBatchPerCallReference bench and the --json rng section compare
-/// the direct-to-plane path against.
-void fill_batch_percall_reference(std::mt19937_64& rng, arith::BitSlicedBatch& batch,
-                                  std::vector<std::uint64_t>& rows) {
-  const int width = batch.width();
-  const int lane_words = batch.lane_words();
-  const int limbs = (width + 63) / 64;
-  const std::uint64_t top_mask =
-      width % 64 == 0 ? ~std::uint64_t{0} : ((std::uint64_t{1} << (width % 64)) - 1);
-  rows.resize(static_cast<std::size_t>(2 * limbs) * 64);
-  for (int w = 0; w < lane_words; ++w) {
-    for (int j = 0; j < 64; ++j) {
-      for (int op = 0; op < 2; ++op) {
-        for (int limb = 0; limb < limbs; ++limb) {
-          std::uint64_t word = rng();
-          if (limb == limbs - 1) word &= top_mask;
-          rows[static_cast<std::size_t>((op * limbs + limb) * 64 + j)] = word;
-        }
-      }
-    }
-    for (int op = 0; op < 2; ++op) {
-      std::uint64_t* planes = op == 0 ? batch.a() : batch.b();
-      for (int limb = 0; limb < limbs; ++limb) {
-        std::uint64_t* block = rows.data() + static_cast<std::size_t>(op * limbs + limb) * 64;
-        arith::transpose_64x64(block);
-        arith::block_to_planes(block, limb, width, planes, lane_words, w);
-      }
-    }
-  }
-}
-
 void BM_RngStdMt19937Draws(benchmark::State& state) {
   std::mt19937_64 rng(1);
   std::uint64_t sum = 0;
@@ -332,10 +297,7 @@ BENCHMARK(BM_RngGenerateBlock)
 // of 64 * lane_words operand pairs into bit-planes.  Args: (width,
 // lane_words, backend).  At 8 lane words the batch is the source's canonical
 // stream block, generated straight into the planes (the zero-copy rows);
-// other widths copy plane runs out of a buffered block.  Compare with
-// BM_RngFillBatchPerCallReference, which re-implements the original per-call
-// fill (one std::mt19937_64 draw per limb) on the same shapes — the ratio is
-// the operand-generation speedup.
+// other widths copy plane runs out of a buffered block.
 void BM_RngFillBatch(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
@@ -353,31 +315,6 @@ void BM_RngFillBatch(benchmark::State& state) {
 BENCHMARK(BM_RngFillBatch)
     ->Args({64, 4, 0})->Args({64, 4, 1})->Args({512, 4, 0})->Args({512, 4, 1})
     ->Args({64, 8, 1})->Args({512, 8, 1});
-
-/// The PR 6 Gaussian operand source, reproduced as the baseline: one
-/// std::normal_distribution draw per operand through the per-sample next()
-/// path, with the base-class fill_batch (per-sample ApInt transposes) —
-/// exactly how GaussianTwosSource generated operands before the block
-/// ziggurat.  The gaussian section's speedup rows compare against this.
-class PerCallNormalTwosSource final : public arith::OperandSource {
- public:
-  explicit PerCallNormalTwosSource(int width) : arith::OperandSource(width) {}
-  [[nodiscard]] std::string name() const override {
-    return "gaussian-twos-percall-reference";
-  }
-  std::pair<ApInt, ApInt> next(arith::BlockRng& rng) override {
-    const double a = dist_(rng);
-    const double b = dist_(rng);
-    return {arith::encode_signed_sample(width(), a),
-            arith::encode_signed_sample(width(), b)};
-  }
-  [[nodiscard]] std::unique_ptr<arith::OperandSource> clone() const override {
-    return std::make_unique<PerCallNormalTwosSource>(width());
-  }
-
- private:
-  std::normal_distribution<double> dist_{0.0, 4294967296.0};  // Ch. 7 params
-};
 
 // Bulk ziggurat variates from the block sampler — the per-variate floor of
 // every Gaussian workload.  Arg: 0 = scalar backend / 1 = auto-dispatched
@@ -419,32 +356,6 @@ void BM_GaussianFillBatch(benchmark::State& state) {
   state.SetLabel(twos ? "twos" : "unsigned");
 }
 BENCHMARK(BM_GaussianFillBatch)->Args({64, 1})->Args({64, 0})->Args({512, 1})->Args({512, 0});
-
-void BM_RngGaussianPerCallReference(benchmark::State& state) {
-  arith::BlockRng rng(19);
-  std::normal_distribution<double> dist(0.0, 4294967296.0);
-  double sum = 0.0;
-  for (auto _ : state) {
-    for (int i = 0; i < 4096; ++i) sum += dist(rng);
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(state.iterations() * 4096);
-}
-BENCHMARK(BM_RngGaussianPerCallReference);
-
-void BM_RngFillBatchPerCallReference(benchmark::State& state) {
-  const int width = static_cast<int>(state.range(0));
-  const int lane_words = static_cast<int>(state.range(1));
-  arith::BitSlicedBatch batch(width, lane_words);
-  std::mt19937_64 rng(5);
-  std::vector<std::uint64_t> rows;
-  for (auto _ : state) {
-    fill_batch_percall_reference(rng, batch, rows);
-    benchmark::DoNotOptimize(batch.a());
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * lane_words);
-}
-BENCHMARK(BM_RngFillBatchPerCallReference)->Args({64, 4})->Args({512, 4});
 
 void BM_NetlistSimulate64Vectors(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
@@ -625,11 +536,12 @@ harness::JsonObject kernel_record(const std::string& name, double scalar_ns,
   return record;
 }
 
-/// ns/sample of the full batched error-rate loop over `source` at one
+/// ns/sample of the full batched error-rate loop on `dist` operands at one
 /// configuration.  `lane_words` 0 = the dispatch-aware default
 /// (arith::default_lane_words() resolved inside the run, under `backend`).
-double end_to_end_source_ns(int width, arith::OperandSource& source, int lane_words,
-                            const char* backend) {
+double end_to_end_ns(int width, arith::InputDistribution dist, int lane_words,
+                     const char* backend) {
+  auto source = arith::make_source(dist, width);
   const BackendScope scope(backend);
   const spec::VlcsaConfig config{width, spec::min_window_for_error_rate(width, 1e-4),
                                  spec::ScsaVariant::kScsa2};
@@ -642,14 +554,8 @@ double end_to_end_source_ns(int width, arith::OperandSource& source, int lane_wo
   return time_ns_per_item(kSamples, [&] {
     options.seed = seed++;
     benchmark::DoNotOptimize(
-        harness::run_vlcsa(config, source, options, harness::EvalPath::kBatched));
+        harness::run_vlcsa(config, *source, options, harness::EvalPath::kBatched));
   });
-}
-
-double end_to_end_ns(int width, arith::InputDistribution dist, int lane_words,
-                     const char* backend) {
-  auto source = arith::make_source(dist, width);
-  return end_to_end_source_ns(width, *source, lane_words, backend);
 }
 
 int write_perf_json(const std::string& path) {
@@ -736,8 +642,7 @@ int write_perf_json(const std::string& path) {
 
   // The RNG subsystem: per-word generation cost of the std engine, the
   // block RNG's per-call path, and bulk generate_block, plus the uniform
-  // operand fill before (per-call std draws, the PR 4 path) and after
-  // (generate_block direct-to-plane).  This is the Amdahl term PR 5 lifts.
+  // operand fill (generate_block direct-to-plane).
   std::string rng_section;
   {
     constexpr std::size_t kWords = 1 << 14;
@@ -783,19 +688,11 @@ int write_perf_json(const std::string& path) {
         source.fill_batch(fill_rng, batch);
         benchmark::DoNotOptimize(batch.a());
       });
-      std::mt19937_64 old_rng(5);
-      std::vector<std::uint64_t> rows;
-      const double before_ns = time_ns_per_item(lanes, [&] {
-        fill_batch_percall_reference(old_rng, batch, rows);
-        benchmark::DoNotOptimize(batch.a());
-      });
       harness::JsonObject record;
       record.add("workload", "uniform-fill-batch-n" + std::to_string(width));
-      record.add("percall_std_ns_per_sample", before_ns);
       record.add("ns_per_sample", fill_ns);
       record.add("backend", best);
       record.add("lane_words", now_w);
-      record.add("speedup", fill_ns > 0 ? before_ns / fill_ns : 0.0);
       if (!first) fills += ", ";
       fills += record.render_line();
       first = false;
@@ -876,22 +773,12 @@ int write_perf_json(const std::string& path) {
   }
 
   // The Gaussian sampling subsystem (the Ch. 7 workloads): per-variate cost
-  // of the block ziggurat vs the per-call std::normal_distribution it
-  // replaced, the two's-complement operand fill, and the full table7.1-style
-  // error-rate loop against the PR 6 per-call baseline.  The n=64 end-to-end
-  // speedup row is this PR's acceptance gate (>= 3x).
+  // of the block ziggurat, the two's-complement operand fill, and the full
+  // table7.1-style error-rate loop.
   std::string gaussian_section;
-  double gauss_end_to_end_speedup_n64 = 0.0;
   {
     constexpr std::size_t kVariates = std::size_t{1} << 14;
     std::vector<double> variates(kVariates);
-    arith::BlockRng std_rng(19);
-    std::normal_distribution<double> std_dist(0.0, 4294967296.0);
-    const double std_ns = time_ns_per_item(kVariates, [&] {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < kVariates; ++i) sum += std_dist(std_rng);
-      benchmark::DoNotOptimize(sum);
-    });
     arith::GaussianBlockSampler sampler;
     arith::BlockRng block_rng(19);
     const auto sampler_ns_for = [&](const char* backend) {
@@ -901,20 +788,15 @@ int write_perf_json(const std::string& path) {
         benchmark::DoNotOptimize(variates.data());
       });
     };
-    const double zig_scalar_ns = sampler_ns_for("scalar");
-    const double zig_best_ns = sampler_ns_for("auto");
     harness::JsonObject sampler_record;
-    sampler_record.add("std_normal_percall_ns_per_variate", std_ns);
-    sampler_record.add("ziggurat_block_scalar_ns_per_variate", zig_scalar_ns);
-    sampler_record.add("ziggurat_block_ns_per_variate", zig_best_ns);
+    sampler_record.add("ziggurat_block_scalar_ns_per_variate", sampler_ns_for("scalar"));
+    sampler_record.add("ziggurat_block_ns_per_variate", sampler_ns_for("auto"));
     sampler_record.add("backend", best);
-    sampler_record.add("speedup_vs_std", zig_best_ns > 0 ? std_ns / zig_best_ns : 0.0);
 
     std::string fills;
     bool first = true;
     for (const int width : {64, 512}) {
       arith::GaussianTwosSource source(width, arith::GaussianParams{});
-      PerCallNormalTwosSource reference(width);
       arith::BitSlicedBatch batch(width, now_w);
       const std::uint64_t lanes = static_cast<std::uint64_t>(batch.lanes());
       const BackendScope scope("auto");
@@ -923,45 +805,27 @@ int write_perf_json(const std::string& path) {
         source.fill_batch(fill_rng, batch);
         benchmark::DoNotOptimize(batch.a());
       });
-      arith::BlockRng ref_rng(23);
-      const double before_ns = time_ns_per_item(lanes, [&] {
-        reference.fill_batch(ref_rng, batch);
-        benchmark::DoNotOptimize(batch.a());
-      });
       harness::JsonObject record;
       record.add("workload", "gaussian-twos-fill-batch-n" + std::to_string(width));
-      record.add("percall_std_ns_per_sample", before_ns);
       record.add("ns_per_sample", fill_ns);
       record.add("backend", best);
       record.add("lane_words", now_w);
-      record.add("speedup", fill_ns > 0 ? before_ns / fill_ns : 0.0);
       if (!first) fills += ", ";
       fills += record.render_line();
       first = false;
     }
 
     // End to end on the table7.1 shape (VLCSA error rates, two's-complement
-    // Gaussian operands): the PR 6 baseline is the per-call source at PR 6's
-    // defaults (kDefaultLaneWords, auto dispatch) — its cost was dominated
-    // by per-sample std::normal draws and ApInt transposes, which is exactly
-    // what the block ziggurat + direct-to-plane fill removes.
+    // Gaussian operands) at the defaults.
     std::string ends;
     first = true;
     for (const int width : {64, 512}) {
-      PerCallNormalTwosSource reference(width);
-      const double base_ns =
-          end_to_end_source_ns(width, reference, arith::kDefaultLaneWords, "auto");
-      auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, width);
-      const double now_ns = end_to_end_source_ns(width, *source, 0, "auto");
       harness::JsonObject record;
       record.add("workload", "table7.1-gauss2c-n" + std::to_string(width));
-      record.add("pr6_percall_ns_per_sample", base_ns);
-      record.add("ns_per_sample", now_ns);
+      record.add("ns_per_sample",
+                 end_to_end_ns(width, arith::InputDistribution::kGaussianTwos, 0, "auto"));
       record.add("backend", best);
       record.add("lane_words", now_w);
-      const double speedup = now_ns > 0 ? base_ns / now_ns : 0.0;
-      record.add("speedup_vs_pr6", speedup);
-      if (width == 64) gauss_end_to_end_speedup_n64 = speedup;
       if (!first) ends += ", ";
       ends += record.render_line();
       first = false;
@@ -1018,7 +882,7 @@ int write_perf_json(const std::string& path) {
   }
 
   harness::JsonObject root;
-  root.add("schema", "vlcsa-perf-5");
+  root.add("schema", "vlcsa-perf-6");
   root.add("backend_best", best);
   root.add("lane_words_default", now_w);
   root.add_json("kernels", "[" + kernels + "]");
@@ -1036,7 +900,6 @@ int write_perf_json(const std::string& path) {
   out << root.render_line() << "\n";
   std::cout << "wrote " << path << " (backend " << best << "; n512 model-eval speedup "
             << model_speedup_n512 << "x, end-to-end " << end_to_end_speedup_n512
-            << "x; gaussian table7.1 n64 vs PR 6 " << gauss_end_to_end_speedup_n64
             << "x; service cached hit " << service_hit_ns << " ns)\n";
   return 0;
 }

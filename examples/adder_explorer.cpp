@@ -87,141 +87,61 @@ netlist::Netlist build(const std::string& design, int width, int window, int cha
 }
 
 void list_experiments() {
-  std::cout << "error-rate experiments:\n";
-  for (const auto& e : harness::error_rate_experiments()) {
-    std::cout << "  " << e.name << "  (" << to_string(e.model) << ", n=" << e.width
-              << ", k=" << e.window << ")\n";
+  for (const harness::ExperimentHandle& e : harness::experiments_with_prefix("")) {
+    std::cout << "  " << e.name() << "  [" << e.kind() << "]  " << e.description() << "\n";
   }
-  std::cout << "carry-chain profile experiments:\n";
-  for (const auto& e : harness::chain_profile_experiments()) {
-    std::cout << "  " << e.name << "  (n=" << e.width << ")\n";
-  }
-}
-
-void write_json(const std::string& path, const harness::JsonObject& record) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot open " + path);
-  record.write(out);
-  std::cout << "wrote result record to " << path << "\n";
 }
 
 int run_experiment_by_name(const harness::ExplorerOptions& opt) {
   using Clock = std::chrono::steady_clock;
-  if (const auto* e = harness::find_error_rate_experiment(opt.experiment)) {
-    const std::uint64_t n = opt.samples == 0 ? e->default_samples : opt.samples;
-    std::cout << e->name << ": " << e->description << "\n"
-              << n << " samples, seed " << opt.seed << ", " << to_string(opt.path)
-              << " evaluation\n\n";
-    harness::RunOptions options;
-    options.samples = n;
-    options.seed = opt.seed;
-    options.threads = opt.threads;
-    harness::RunProfileCollector collector;
-    if (opt.profile) options.profile = &collector;
-    const auto start = Clock::now();
-    const auto result = harness::run_experiment(*e, options, opt.path);
-    const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-    const double rate = wall > 0.0 ? static_cast<double>(result.samples) / wall : 0.0;
-    if (opt.profile) {
-      std::cerr << harness::render_run_profile(collector.snapshot()) << "\n";
-    }
-
-    harness::Table table({"metric", "value"});
-    table.add_row({"samples", std::to_string(result.samples)});
-    table.add_row({"actual error rate", harness::fmt_pct(result.actual_rate(), 3)});
-    table.add_row({"nominal (stall) rate", harness::fmt_pct(result.nominal_rate(), 3)});
-    table.add_row({"either-wrong rate", harness::fmt_pct(result.either_wrong_rate(), 3)});
-    table.add_row({"false negatives", std::to_string(result.false_negatives)});
-    table.add_row({"emitted wrong", std::to_string(result.emitted_wrong)});
-    table.add_row({"avg cycles (eq. 5.2)", harness::fmt_fixed(result.average_cycles(), 4)});
-    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
-    table.add_row({"samples/sec", harness::fmt_fixed(rate, 0)});
-    table.print(std::cout);
-
-    if (!opt.json_path.empty()) {
-      harness::JsonObject record;
-      record.add("experiment", e->name);
-      record.add("kind", "error-rate");
-      record.add("model", to_string(e->model));
-      record.add("width", e->width);
-      record.add("window", e->window);
-      record.add("distribution", arith::to_string(e->dist));
-      record.add("samples", result.samples);
-      record.add("seed", opt.seed);
-      record.add("threads", harness::resolve_threads(opt.threads));
-      record.add("eval_path", to_string(opt.path));
-      record.add("actual_errors", result.actual_errors);
-      record.add("nominal_errors", result.nominal_errors);
-      record.add("false_negatives", result.false_negatives);
-      record.add("either_wrong", result.either_wrong);
-      record.add("emitted_wrong", result.emitted_wrong);
-      record.add("actual_rate", result.actual_rate());
-      record.add("nominal_rate", result.nominal_rate());
-      record.add("either_wrong_rate", result.either_wrong_rate());
-      record.add("avg_cycles", result.average_cycles());
-      record.add("wall_seconds", wall);
-      record.add("samples_per_sec", rate);
-      if (opt.profile) {
-        record.add_json("profile", harness::render_run_profile(collector.snapshot()));
-      }
-      write_json(opt.json_path, record);
-    }
-    return 0;
+  const auto experiment = harness::find_experiment(opt.experiment);
+  if (!experiment) {
+    std::cerr << "unknown experiment: " << opt.experiment << " (try --list-experiments)\n";
+    return 2;
   }
-  if (const auto* e = harness::find_chain_profile_experiment(opt.experiment)) {
-    if (opt.path_explicit) {
-      std::cerr << "error: --batch only applies to error-rate experiments; "
-                << e->name << " is a chain-profile experiment\n";
-      return 2;
-    }
-    const std::uint64_t n = opt.samples == 0 ? e->default_samples : opt.samples;
-    std::cout << e->name << ": " << e->description << "\n"
-              << n << " samples, seed " << opt.seed << "\n\n";
-    harness::RunOptions options;
-    options.samples = n;
-    options.seed = opt.seed;
-    options.threads = opt.threads;
-    harness::RunProfileCollector collector;
-    if (opt.profile) options.profile = &collector;
-    const auto start = Clock::now();
-    const auto profiler = harness::run_experiment(*e, options);
-    const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-    const double rate = wall > 0.0 ? static_cast<double>(n) / wall : 0.0;
-    if (opt.profile) {
-      std::cerr << harness::render_run_profile(collector.snapshot()) << "\n";
-    }
-
-    harness::Table table({"metric", "value"});
-    table.add_row({"additions", std::to_string(profiler.additions())});
-    table.add_row({"chains", std::to_string(profiler.total())});
-    table.add_row({"mean chain length", harness::fmt_fixed(profiler.mean_length(), 2)});
-    table.add_row({"chains >= width/2",
-                   harness::fmt_pct(profiler.fraction_at_least(profiler.width() / 2), 2)});
-    table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
-    table.print(std::cout);
-
-    if (!opt.json_path.empty()) {
-      harness::JsonObject record;
-      record.add("experiment", e->name);
-      record.add("kind", "chain-profile");
-      record.add("width", e->width);
-      record.add("samples", n);
-      record.add("seed", opt.seed);
-      record.add("threads", harness::resolve_threads(opt.threads));
-      record.add("additions", profiler.additions());
-      record.add("chains", profiler.total());
-      record.add("mean_chain_length", profiler.mean_length());
-      record.add("wall_seconds", wall);
-      record.add("samples_per_sec", rate);
-      if (opt.profile) {
-        record.add_json("profile", harness::render_run_profile(collector.snapshot()));
-      }
-      write_json(opt.json_path, record);
-    }
-    return 0;
+  if (opt.path_explicit && !experiment->eval_path_applies()) {
+    std::cerr << "error: --batch only applies to error-rate experiments; " << experiment->name()
+              << " is a " << experiment->kind() << " experiment\n";
+    return 2;
   }
-  std::cerr << "unknown experiment: " << opt.experiment << " (try --list-experiments)\n";
-  return 2;
+  harness::RunOptions options;
+  options.samples = opt.samples == 0 ? experiment->default_samples() : opt.samples;
+  options.seed = opt.seed;
+  options.threads = opt.threads;
+  harness::RunProfileCollector collector;
+  if (opt.profile) options.profile = &collector;
+  std::cout << experiment->name() << ": " << experiment->description() << "\n"
+            << options.samples << " samples, seed " << opt.seed << ", "
+            << to_string(experiment->keyed_eval_path(opt.path)) << " evaluation\n\n";
+
+  harness::JsonObject record;
+  const auto start = Clock::now();
+  experiment->run_into(options, opt.path, record);
+  const double wall = std::chrono::duration<double>(Clock::now() - start).count();
+  const double rate = wall > 0.0 ? static_cast<double>(options.samples) / wall : 0.0;
+  const std::string profile =
+      opt.profile ? harness::render_run_profile(collector.snapshot()) : std::string();
+  if (opt.profile) std::cerr << profile << "\n";
+
+  // The canonical record's fields are the metric table.
+  harness::Table table({"metric", "value"});
+  for (const auto& [key, value] : record.fields()) table.add_row({key, value});
+  table.add_row({"wall time [s]", harness::fmt_fixed(wall, 3)});
+  table.add_row({"samples/sec", harness::fmt_fixed(rate, 0)});
+  table.print(std::cout);
+
+  if (!opt.json_path.empty()) {
+    // The canonical record, then this run's own fields.
+    record.add("threads", harness::resolve_threads(opt.threads));
+    record.add("wall_seconds", wall);
+    record.add("samples_per_sec", rate);
+    if (opt.profile) record.add_json("profile", profile);
+    std::ofstream out(opt.json_path);
+    if (!out) throw std::runtime_error("cannot open " + opt.json_path);
+    record.write(out);
+    std::cout << "wrote result record to " << opt.json_path << "\n";
+  }
+  return 0;
 }
 
 }  // namespace

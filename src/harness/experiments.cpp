@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "harness/engine.hpp"
+#include "harness/report.hpp"
 #include "speculative/error_model.hpp"
 
 namespace vlcsa::harness {
@@ -153,15 +154,105 @@ const Experiment* find_by_name(const std::vector<Experiment>& experiments,
 }
 
 template <typename Experiment>
-std::vector<const Experiment*> find_by_prefix(const std::vector<Experiment>& experiments,
-                                              std::string_view prefix) {
-  std::vector<const Experiment*> out;
+void append_with_prefix(const std::vector<Experiment>& experiments, std::string_view prefix,
+                        std::vector<ExperimentHandle>& out) {
   for (const auto& experiment : experiments) {
     if (std::string_view(experiment.name).substr(0, prefix.size()) == prefix) {
-      out.push_back(&experiment);
+      out.emplace_back(experiment);
     }
   }
-  return out;
+}
+
+// ---- Operand-stream versions ---------------------------------------------
+
+/// Stream version of the Gaussian operand streams.  Bumped whenever the
+/// Gaussian variate stream changes incompatibly — v2 is the move of
+/// GaussianUnsignedSource/GaussianTwosSource from per-sample
+/// std::normal_distribution onto the block ziggurat
+/// (arith::GaussianBlockSampler), which redefines every Gaussian-input
+/// counter.
+constexpr const char* kGaussStreamVersion = "gauss-rng-v2";
+
+/// Stream version of the unsigned uniform operand stream.  v3 is the move
+/// of UniformUnsignedSource to a plane-order stream (one generate_block per
+/// operand's bit-planes of a 512-sample block), which redefines every
+/// uniform-unsigned counter and chain histogram.
+constexpr const char* kUniformStreamVersion = "uniform-rng-v3";
+
+/// Stream version of the crypto chain-profile workloads.  Bumped whenever
+/// their internal draw streams change incompatibly — v2 is the move of
+/// run_crypto_workload's seeding onto the shared seed_seq discipline
+/// (arith::make_stream_rng) that shipped with the BlockRng subsystem.
+constexpr const char* kCryptoStreamVersion = "crypto-rng-v2";
+
+/// The stream version of an operand distribution, for error-rate
+/// experiments AND distribution chain profiles.  Two's-complement uniform
+/// streams never changed and stay unversioned (keys unchanged).
+const char* distribution_stream_version(arith::InputDistribution dist) {
+  switch (dist) {
+    case arith::InputDistribution::kUniformUnsigned: return kUniformStreamVersion;
+    case arith::InputDistribution::kGaussianUnsigned:
+    case arith::InputDistribution::kGaussianTwos: return kGaussStreamVersion;
+    case arith::InputDistribution::kUniformTwos: return "";
+  }
+  return "";
+}
+
+// ---- Per-kind decisions ----------------------------------------------------
+// One overload set per experiment kind; ExperimentHandle visits them.  A
+// record is identity + samples/seed/eval_path/stream_version + the kind's
+// result fields (run_into_record).
+
+const char* kind_name(const ErrorRateExperiment&) { return "error-rate"; }
+const char* kind_name(const ChainProfileExperiment&) { return "chain-profile"; }
+
+bool has_eval_path_choice(const ErrorRateExperiment&) { return true; }
+bool has_eval_path_choice(const ChainProfileExperiment&) { return false; }
+
+const char* stream_version_of(const ErrorRateExperiment& experiment) {
+  return distribution_stream_version(experiment.dist);
+}
+const char* stream_version_of(const ChainProfileExperiment& experiment) {
+  return experiment.workload == ChainProfileExperiment::Workload::kCrypto
+             ? kCryptoStreamVersion
+             : distribution_stream_version(experiment.dist);
+}
+
+void add_config_fields(const ErrorRateExperiment& experiment, JsonObject& out) {
+  out.add("model", to_string(experiment.model));
+  out.add("width", experiment.width);
+  out.add("window", experiment.window);
+  out.add("distribution", arith::to_string(experiment.dist));
+}
+void add_config_fields(const ChainProfileExperiment& experiment, JsonObject& out) {
+  const bool crypto = experiment.workload == ChainProfileExperiment::Workload::kCrypto;
+  out.add("width", experiment.width);
+  out.add("workload", crypto ? "crypto" : "distribution");
+  out.add("source", crypto ? std::string(to_string(experiment.crypto_kind))
+                           : arith::to_string(experiment.dist));
+}
+
+void run_into_record(const ErrorRateExperiment& experiment, const RunOptions& options,
+                       EvalPath path, JsonObject& record) {
+  const ErrorRateResult result = run_experiment(experiment, options, path);
+  record.add("actual_errors", result.actual_errors);
+  record.add("nominal_errors", result.nominal_errors);
+  record.add("false_negatives", result.false_negatives);
+  record.add("either_wrong", result.either_wrong);
+  record.add("emitted_wrong", result.emitted_wrong);
+  record.add("total_cycles", result.total_cycles);
+  record.add("actual_rate", result.actual_rate());
+  record.add("nominal_rate", result.nominal_rate());
+  record.add("either_wrong_rate", result.either_wrong_rate());
+  record.add("avg_cycles", result.average_cycles());
+}
+void run_into_record(const ChainProfileExperiment& experiment, const RunOptions& options,
+                       EvalPath, JsonObject& record) {
+  const arith::CarryChainProfiler profiler = run_experiment(experiment, options);
+  record.add("additions", profiler.additions());
+  record.add("chains", profiler.total());
+  record.add("mean_chain_length", profiler.mean_length());
+  record.add("fraction_at_least_half_width", profiler.fraction_at_least(experiment.width / 2));
 }
 
 }  // namespace
@@ -266,14 +357,83 @@ const ChainProfileExperiment* find_chain_profile_experiment(std::string_view nam
   return find_by_name(chain_profile_experiments(), name);
 }
 
-std::vector<const ErrorRateExperiment*> error_rate_experiments_with_prefix(
-    std::string_view prefix) {
-  return find_by_prefix(error_rate_experiments(), prefix);
+const std::string& ExperimentHandle::name() const {
+  return std::visit([](const auto* e) -> const std::string& { return e->name; }, entry_);
 }
 
-std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix(
-    std::string_view prefix) {
-  return find_by_prefix(chain_profile_experiments(), prefix);
+const std::string& ExperimentHandle::description() const {
+  return std::visit([](const auto* e) -> const std::string& { return e->description; }, entry_);
+}
+
+std::uint64_t ExperimentHandle::default_samples() const {
+  return std::visit([](const auto* e) { return e->default_samples; }, entry_);
+}
+
+const char* ExperimentHandle::kind() const {
+  return std::visit([](const auto* e) { return kind_name(*e); }, entry_);
+}
+
+bool ExperimentHandle::eval_path_applies() const {
+  return std::visit([](const auto* e) { return has_eval_path_choice(*e); }, entry_);
+}
+
+EvalPath ExperimentHandle::keyed_eval_path(EvalPath requested) const {
+  return eval_path_applies() ? requested : EvalPath::kScalar;
+}
+
+const char* ExperimentHandle::stream_version() const {
+  return std::visit([](const auto* e) { return stream_version_of(*e); }, entry_);
+}
+
+void ExperimentHandle::add_identity(JsonObject& out) const {
+  out.add("experiment", name());
+  out.add("kind", kind());
+  std::visit([&out](const auto* e) { add_config_fields(*e, out); }, entry_);
+}
+
+void ExperimentHandle::run_into(const RunOptions& options, EvalPath path,
+                                JsonObject& record) const {
+  add_identity(record);
+  record.add("samples", options.samples);
+  record.add("seed", options.seed);
+  record.add("eval_path", to_string(keyed_eval_path(path)));
+  if (const char* version = stream_version(); *version != '\0') {
+    record.add("stream_version", version);
+  }
+  std::visit([&](const auto* e) { run_into_record(*e, options, path, record); }, entry_);
+}
+
+std::string ExperimentHandle::run(const RunOptions& options, EvalPath path) const {
+  JsonObject record;
+  run_into(options, path, record);
+  return record.render_line();
+}
+
+const ErrorRateExperiment* ExperimentHandle::error_rate() const {
+  const auto* const* entry = std::get_if<const ErrorRateExperiment*>(&entry_);
+  return entry != nullptr ? *entry : nullptr;
+}
+
+const ChainProfileExperiment* ExperimentHandle::chain_profile() const {
+  const auto* const* entry = std::get_if<const ChainProfileExperiment*>(&entry_);
+  return entry != nullptr ? *entry : nullptr;
+}
+
+std::optional<ExperimentHandle> find_experiment(std::string_view name) {
+  if (const auto* experiment = find_error_rate_experiment(name)) {
+    return ExperimentHandle(*experiment);
+  }
+  if (const auto* experiment = find_chain_profile_experiment(name)) {
+    return ExperimentHandle(*experiment);
+  }
+  return std::nullopt;
+}
+
+std::vector<ExperimentHandle> experiments_with_prefix(std::string_view prefix) {
+  std::vector<ExperimentHandle> out;
+  append_with_prefix(error_rate_experiments(), prefix, out);
+  append_with_prefix(chain_profile_experiments(), prefix, out);
+  return out;
 }
 
 }  // namespace vlcsa::harness

@@ -1,18 +1,26 @@
 #pragma once
 // Experiment registry: every Monte Carlo experiment the paper's tables and
 // figures need, as named (adder variant × width × window × operand
-// distribution) configurations.  Bench binaries and the adder_explorer
-// example look experiments up here instead of hand-rolling sampling loops;
-// new workloads are added by appending a registration, and immediately
-// become runnable from every front end.
+// distribution) configurations.  vlcsa_reproduce, the service, the sweep and
+// the adder_explorer example look experiments up here instead of
+// hand-rolling sampling loops; new workloads are added by appending a
+// registration, and immediately become runnable from every front end.
+//
+// Front ends see every entry through one kind-erased ExperimentHandle: its
+// identity, defaults, eval-path applicability, operand-stream version,
+// canonical record schema and run all live in experiments.cpp, so a front
+// end never branches on the experiment kind.  A new kind is one typed
+// struct, one registry and one set of per-kind decisions there.
 //
 // Naming convention: "<artifact>/<point>", e.g. "table7.1/n64" or
 // "fig6.5/gaussian-twos-complement".  Prefix queries ("table7.1/") return
 // all points of one artifact in registration (= presentation) order.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "arith/carry_chain.hpp"
@@ -98,15 +106,74 @@ struct ChainProfileExperiment {
 [[nodiscard]] const std::vector<ErrorRateExperiment>& error_rate_experiments();
 [[nodiscard]] const std::vector<ChainProfileExperiment>& chain_profile_experiments();
 
-/// Exact-name lookup; nullptr when absent.
+/// Exact-name typed lookups; nullptr when absent.
 [[nodiscard]] const ErrorRateExperiment* find_error_rate_experiment(std::string_view name);
 [[nodiscard]] const ChainProfileExperiment* find_chain_profile_experiment(
     std::string_view name);
 
-/// All experiments whose name starts with `prefix`, in registration order.
-[[nodiscard]] std::vector<const ErrorRateExperiment*> error_rate_experiments_with_prefix(
-    std::string_view prefix);
-[[nodiscard]] std::vector<const ChainProfileExperiment*> chain_profile_experiments_with_prefix(
-    std::string_view prefix);
+class JsonObject;  // report.hpp
+
+/// A non-owning, kind-erased view of one registry entry (registry entries
+/// live for the whole program, so handles may be copied and kept freely).
+class ExperimentHandle {
+ public:
+  explicit ExperimentHandle(const ErrorRateExperiment& experiment) : entry_(&experiment) {}
+  explicit ExperimentHandle(const ChainProfileExperiment& experiment) : entry_(&experiment) {}
+
+  [[nodiscard]] const std::string& name() const;
+  [[nodiscard]] const std::string& description() const;
+  [[nodiscard]] std::uint64_t default_samples() const;
+
+  /// The experiment kind (error-rate or chain-profile): the "kind" field of
+  /// records and describe replies.
+  [[nodiscard]] const char* kind() const;
+
+  /// Whether a caller may choose the eval path.  Chain profiling has no
+  /// batched pipeline: its records and keys always carry "scalar".
+  [[nodiscard]] bool eval_path_applies() const;
+
+  /// The eval path a run requesting `requested` records and is keyed by.
+  [[nodiscard]] EvalPath keyed_eval_path(EvalPath requested) const;
+
+  /// Version of the operand/workload stream this experiment draws from, or
+  /// "" when that stream never changed.  Records and cache keys carry it, so
+  /// a record from an incompatible stream era misses instead of hitting stale.
+  [[nodiscard]] const char* stream_version() const;
+
+  /// Appends the identity fields shared by records and describe replies:
+  /// "experiment", "kind", then the kind's own configuration fields.
+  void add_identity(JsonObject& out) const;
+
+  /// Runs the experiment (options.samples/seed/threads/cancel/profile as in
+  /// engine.hpp) and appends its canonical result record's fields to
+  /// `record`: identity, samples/seed/eval_path/stream_version, then the
+  /// kind's results.  The record is a pure function of (experiment, samples,
+  /// seed, keyed eval path) — no wall time, no thread count — so a
+  /// recomputation at any thread count reproduces it byte-for-byte.
+  void run_into(const RunOptions& options, EvalPath path, JsonObject& record) const;
+
+  /// run_into() on an empty object, rendered as one line.  The service
+  /// caches exactly these bytes, and its disk tier validates the embedded
+  /// experiment/samples/seed/eval_path fields against the cache key
+  /// (service/cache.hpp).
+  [[nodiscard]] std::string run(const RunOptions& options,
+                                EvalPath path = EvalPath::kBatched) const;
+
+  /// The typed entry when the handle is of that kind, else nullptr — for
+  /// consumers that are kind-specific by nature (the sweep's error-rate
+  /// filters, vlcsa_reproduce's per-kind renderers).
+  [[nodiscard]] const ErrorRateExperiment* error_rate() const;
+  [[nodiscard]] const ChainProfileExperiment* chain_profile() const;
+
+ private:
+  std::variant<const ErrorRateExperiment*, const ChainProfileExperiment*> entry_;
+};
+
+/// Exact-name lookup over every registry; nullopt when absent.
+[[nodiscard]] std::optional<ExperimentHandle> find_experiment(std::string_view name);
+
+/// Every experiment whose name starts with `prefix`: error-rate entries
+/// first, then chain-profile entries, each in registration order.
+[[nodiscard]] std::vector<ExperimentHandle> experiments_with_prefix(std::string_view prefix);
 
 }  // namespace vlcsa::harness

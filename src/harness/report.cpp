@@ -151,17 +151,23 @@ BenchArgs BenchArgs::parse(int argc, char** argv, std::uint64_t default_samples)
   BenchArgs args;
   args.samples = default_samples;
   const std::vector<ValueFlag> flags = {
+      {"--artifact",
+       [&args](const std::string& v) {
+         args.artifact = v;
+         return !v.empty();
+       }},
       {"--samples", [&args](const std::string& v) { return parse_u64(v, args.samples); }},
       {"--seed", [&args](const std::string& v) { return parse_u64(v, args.seed); }},
       {"--threads",
        [&args](const std::string& v) { return parse_nonnegative_int(v, args.threads); }},
   };
   // "--benchmark*" is tolerated so google-benchmark style flags don't kill
-  // table benches when the whole bench directory is run with common flags.
+  // the reproduction when the whole bench directory is run with common flags.
   const std::string error =
       parse_value_flags(argc, const_cast<const char* const*>(argv), flags, "--benchmark");
   if (!error.empty()) {
-    throw std::invalid_argument(error + " (expected --samples=N, --seed=S or --threads=T)");
+    throw std::invalid_argument(
+        error + " (expected --artifact=ID, --samples=N, --seed=S or --threads=T)");
   }
   return args;
 }

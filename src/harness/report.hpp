@@ -1,8 +1,9 @@
 #pragma once
-// Fixed-width table/series printers shared by all bench binaries, plus the
-// tiny CLI parser they use for --samples/--seed overrides.  Output format is
-// deliberately paper-like: one bench binary regenerates one table or figure
-// as rows on stdout (see DESIGN.md "Per-experiment index").
+// Fixed-width table/series printers shared by every front end, plus the
+// tiny CLI parser vlcsa_reproduce uses for its --artifact/--samples/--seed/
+// --threads flags.  Output format is deliberately paper-like: each
+// vlcsa_reproduce artifact regenerates one table or figure as rows on stdout
+// (see DESIGN.md "Per-experiment index").
 
 #include <cstdint>
 #include <iosfwd>
@@ -53,6 +54,11 @@ class JsonObject {
   /// newline-delimited service protocol's framing unit.
   [[nodiscard]] std::string render_line() const;
 
+  /// The fields in insertion order, each value as its rendered JSON text.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>& fields() const {
+    return fields_;
+  }
+
  private:
   void add_raw(const std::string& key, std::string rendered);
 
@@ -81,11 +87,13 @@ struct RunProfile;  // engine.hpp
 /// Formats a probability in scientific notation ("1.14e-04").
 [[nodiscard]] std::string fmt_sci(double value);
 
-/// Common bench CLI: --samples=N --seed=S --threads=T (order-free; unknown
-/// args fatal).  threads = 0 means "all hardware threads" (engine.hpp).
-/// Built on the strict cli.hpp flag parser, so malformed values
-/// ("--samples=12x") are rejected exactly like every other front end.
+/// vlcsa_reproduce's CLI: --artifact=ID --samples=N --seed=S --threads=T
+/// (order-free; unknown args fatal).  threads = 0 means "all hardware
+/// threads" (engine.hpp).  Built on the strict cli.hpp flag parser, so
+/// malformed values ("--samples=12x") are rejected exactly like every other
+/// front end.
 struct BenchArgs {
+  std::string artifact;  // "" when --artifact is absent
   std::uint64_t samples = 0;
   std::uint64_t seed = 1;
   int threads = 0;

@@ -85,16 +85,6 @@ std::string read_u64_axis(const JsonValue& spec, const char* name,
   return {};
 }
 
-/// One selected registry entry (exactly one pointer is set).
-struct SelectedExperiment {
-  const ErrorRateExperiment* error_rate = nullptr;
-  const ChainProfileExperiment* chain_profile = nullptr;
-
-  [[nodiscard]] const std::string& name() const {
-    return error_rate != nullptr ? error_rate->name : chain_profile->name;
-  }
-};
-
 double now_epoch_seconds() {
   return std::chrono::duration<double>(
              std::chrono::system_clock::now().time_since_epoch())
@@ -282,30 +272,23 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     out.error = "sweep spec requires field 'experiments'";
     return out;
   }
-  std::vector<SelectedExperiment> selection;
+  std::vector<ExperimentHandle> selection;
   std::unordered_set<std::string> seen;
   for (const std::string& entry : entries) {
-    std::vector<SelectedExperiment> matched;
+    std::vector<ExperimentHandle> matched;
     if (entry.back() == '/') {
-      for (const auto* experiment : error_rate_experiments_with_prefix(entry)) {
-        matched.push_back({experiment, nullptr});
-      }
-      for (const auto* experiment : chain_profile_experiments_with_prefix(entry)) {
-        matched.push_back({nullptr, experiment});
-      }
+      matched = experiments_with_prefix(entry);
       if (matched.empty()) {
         out.error = "experiments entry '" + entry + "' matched no experiment";
         return out;
       }
-    } else if (const auto* experiment = find_error_rate_experiment(entry)) {
-      matched.push_back({experiment, nullptr});
-    } else if (const auto* experiment = find_chain_profile_experiment(entry)) {
-      matched.push_back({nullptr, experiment});
+    } else if (const auto experiment = find_experiment(entry)) {
+      matched.push_back(*experiment);
     } else {
       out.error = "unknown experiment '" + entry + "' (exact name or \"prefix/\")";
       return out;
     }
-    for (const SelectedExperiment& candidate : matched) {
+    for (const ExperimentHandle& candidate : matched) {
       if (seen.insert(candidate.name()).second) selection.push_back(candidate);
     }
   }
@@ -346,11 +329,11 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
   }
   const bool filtered = models_given || widths_given || windows_given || distributions_given;
   if (filtered) {
-    for (const SelectedExperiment& candidate : selection) {
-      if (candidate.chain_profile != nullptr) {
+    for (const ExperimentHandle& candidate : selection) {
+      if (candidate.error_rate() == nullptr) {
         out.error = "filters (models/widths/windows/distributions) apply to error-rate "
                     "experiments only; '" +
-                    candidate.name() + "' is a chain-profile experiment";
+                    candidate.name() + "' is a " + candidate.kind() + " experiment";
         return out;
       }
     }
@@ -401,8 +384,8 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
                                   auto&& describe) -> std::string {
       for (std::size_t i = 0; i < count; ++i) {
         bool any = false;
-        for (const SelectedExperiment& candidate : selection) {
-          if (value_matches(*candidate.error_rate, i)) {
+        for (const ExperimentHandle& candidate : selection) {
+          if (value_matches(*candidate.error_rate(), i)) {
             any = true;
             break;
           }
@@ -447,9 +430,9 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
       out.error = std::move(error);
       return out;
     }
-    std::vector<SelectedExperiment> narrowed;
-    for (const SelectedExperiment& candidate : selection) {
-      if (matches(*candidate.error_rate)) narrowed.push_back(candidate);
+    std::vector<ExperimentHandle> narrowed;
+    for (const ExperimentHandle& candidate : selection) {
+      if (matches(*candidate.error_rate())) narrowed.push_back(candidate);
     }
     if (narrowed.empty()) {
       out.error = "filters eliminated every selected experiment";
@@ -458,7 +441,7 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     selection = std::move(narrowed);
   }
 
-  // Eval path (error-rate cells only; chain profiles are keyed "scalar").
+  // Eval path (only where it applies; other cells are keyed "scalar").
   EvalPath path = EvalPath::kBatched;
   bool path_given = false;
   if (const JsonValue* field = spec.find("eval_path"); field != nullptr) {
@@ -470,10 +453,10 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     }
   }
   if (path_given) {
-    for (const SelectedExperiment& candidate : selection) {
-      if (candidate.chain_profile != nullptr) {
+    for (const ExperimentHandle& candidate : selection) {
+      if (!candidate.eval_path_applies()) {
         out.error = "field 'eval_path' only applies to error-rate experiments; '" +
-                    candidate.name() + "' is a chain-profile experiment";
+                    candidate.name() + "' is a " + candidate.kind() + " experiment";
         return out;
       }
     }
@@ -507,21 +490,16 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
   // collapsed by id (an explicit samples value equal to a default can
   // collide; the first occurrence wins, order stays deterministic).
   std::unordered_set<std::string> ids;
-  for (const SelectedExperiment& candidate : selection) {
-    const bool error_rate = candidate.error_rate != nullptr;
-    const std::uint64_t default_samples = error_rate
-                                              ? candidate.error_rate->default_samples
-                                              : candidate.chain_profile->default_samples;
-    const std::string eval_path =
-        error_rate ? to_string(path) : to_string(EvalPath::kScalar);
+  for (const ExperimentHandle& candidate : selection) {
+    const std::string eval_path = to_string(candidate.keyed_eval_path(path));
     for (const std::uint64_t samples : samples_axis) {
       for (const std::uint64_t seed : seeds) {
         SweepCell cell;
         cell.experiment = candidate.name();
-        cell.samples = samples == 0 ? default_samples : samples;
+        cell.samples = samples == 0 ? candidate.default_samples() : samples;
         cell.seed = seed;
         cell.eval_path = eval_path;
-        cell.error_rate = error_rate;
+        cell.eval_path_applies = candidate.eval_path_applies();
         cell.id = cell.experiment + "|" + std::to_string(cell.samples) + "|" +
                   std::to_string(cell.seed) + "|" + cell.eval_path;
         if (!ids.insert(cell.id).second) continue;
@@ -643,9 +621,9 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
       run.add("experiment", cell.experiment);
       run.add("samples", cell.samples);
       run.add("seed", cell.seed);
-      // Chain-profile runs must not carry eval_path (the service rejects
-      // it); their cells are keyed "scalar" implicitly.
-      if (cell.error_rate) run.add("eval_path", cell.eval_path);
+      // Runs whose experiment has no eval path choice must not carry the
+      // field (the service rejects it); their cells are keyed "scalar".
+      if (cell.eval_path_applies) run.add("eval_path", cell.eval_path);
       if (k != 0) runs += ", ";
       runs += run.render_line();
     }

@@ -52,7 +52,7 @@ struct SweepCell {
   std::uint64_t samples = 0;  // resolved against the experiment default
   std::uint64_t seed = 1;
   std::string eval_path;   // "batched"/"scalar"; chain-profile cells are "scalar"
-  bool error_rate = false; // family: whether eval_path is sent to the service
+  bool eval_path_applies = false;  // whether eval_path is sent to the service
 };
 
 /// A parsed, validated, fully expanded sweep.

@@ -366,10 +366,11 @@ std::string SocketServer::serve() {
       }
       if (reject) {
         // Shedding load beats queueing unboundedly: tell the peer why in one
-        // protocol-shaped line, then close.
+        // protocol-shaped line, then close.  The rejection is counted first,
+        // so a peer that has read the line always finds it in the metrics.
+        service_.metrics().record_rejected_connection();
         send_all(fd, kOverloadedLine);
         ::close(fd);
-        service_.metrics().record_rejected_connection();
       } else {
         queue_cv_.notify_one();
       }

@@ -4,6 +4,7 @@
 #include <exception>
 #include <initializer_list>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <string_view>
 #include <utility>
@@ -161,109 +162,6 @@ const char* tier_name(ResultCache::Tier tier) {
     case ResultCache::Tier::kMiss: return "miss";
   }
   return "?";
-}
-
-/// Stream version of the Gaussian operand streams.  Bumped whenever the
-/// Gaussian variate stream changes incompatibly — v2 is the move of
-/// GaussianUnsignedSource/GaussianTwosSource from per-sample
-/// std::normal_distribution onto the block ziggurat
-/// (arith::GaussianBlockSampler), which redefines every Gaussian-input
-/// counter.
-constexpr const char* kGaussStreamVersion = "gauss-rng-v2";
-
-/// Stream version of the unsigned uniform operand stream.  v3 is the move
-/// of UniformUnsignedSource to a plane-order stream (one generate_block per
-/// operand's bit-planes of a 512-sample block), which redefines every
-/// uniform-unsigned counter and chain histogram.
-constexpr const char* kUniformStreamVersion = "uniform-rng-v3";
-
-/// The stream version of an operand distribution's records and keys, for
-/// error-rate experiments AND distribution chain profiles.  Two's-complement
-/// uniform streams never changed and stay unversioned (keys unchanged).
-const char* stream_version(arith::InputDistribution dist) {
-  switch (dist) {
-    case arith::InputDistribution::kUniformUnsigned: return kUniformStreamVersion;
-    case arith::InputDistribution::kGaussianUnsigned:
-    case arith::InputDistribution::kGaussianTwos: return kGaussStreamVersion;
-    case arith::InputDistribution::kUniformTwos: return "";
-  }
-  return "";
-}
-
-/// Adds the "stream_version" field when `version` is set: records from an
-/// incompatible sampler or seeding era must miss, not hit stale.
-void add_stream_version(JsonObject& record, const char* version) {
-  if (*version != '\0') record.add("stream_version", version);
-}
-
-// The cached result record: a pure function of (experiment, samples, seed,
-// eval path) — no wall time, no thread count — so a fresh recomputation at
-// any --threads setting reproduces it byte-for-byte.  The embedded
-// experiment/samples/seed/eval_path fields are what the disk tier validates
-// against the key (cache.hpp).
-std::string error_rate_record(const harness::ErrorRateExperiment& experiment,
-                              std::uint64_t seed, harness::EvalPath path,
-                              const harness::ErrorRateResult& result) {
-  JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "error-rate");
-  record.add("model", to_string(experiment.model));
-  record.add("width", experiment.width);
-  record.add("window", experiment.window);
-  record.add("distribution", arith::to_string(experiment.dist));
-  record.add("samples", result.samples);
-  record.add("seed", seed);
-  record.add("eval_path", to_string(path));
-  add_stream_version(record, stream_version(experiment.dist));
-  record.add("actual_errors", result.actual_errors);
-  record.add("nominal_errors", result.nominal_errors);
-  record.add("false_negatives", result.false_negatives);
-  record.add("either_wrong", result.either_wrong);
-  record.add("emitted_wrong", result.emitted_wrong);
-  record.add("total_cycles", result.total_cycles);
-  record.add("actual_rate", result.actual_rate());
-  record.add("nominal_rate", result.nominal_rate());
-  record.add("either_wrong_rate", result.either_wrong_rate());
-  record.add("avg_cycles", result.average_cycles());
-  return record.render_line();
-}
-
-/// Stream version of the crypto chain-profile workloads.  Bumped whenever
-/// their internal draw streams change incompatibly — v2 is the move of
-/// run_crypto_workload's seeding onto the shared seed_seq discipline
-/// (arith::make_stream_rng) that shipped with the BlockRng subsystem.
-constexpr const char* kCryptoStreamVersion = "crypto-rng-v2";
-
-const char* stream_version(const harness::ChainProfileExperiment& experiment) {
-  return experiment.workload == harness::ChainProfileExperiment::Workload::kCrypto
-             ? kCryptoStreamVersion
-             : stream_version(experiment.dist);
-}
-
-std::string chain_profile_record(const harness::ChainProfileExperiment& experiment,
-                                 std::uint64_t samples, std::uint64_t seed,
-                                 const arith::CarryChainProfiler& profiler) {
-  JsonObject record;
-  record.add("experiment", experiment.name);
-  record.add("kind", "chain-profile");
-  record.add("width", experiment.width);
-  const bool crypto = experiment.workload == harness::ChainProfileExperiment::Workload::kCrypto;
-  record.add("workload", crypto ? "crypto" : "distribution");
-  record.add("source",
-             crypto ? std::string(to_string(experiment.crypto_kind))
-                    : arith::to_string(experiment.dist));
-  record.add("samples", samples);
-  record.add("seed", seed);
-  // Chain profiling has no batched pipeline; key the scalar path so the
-  // cache key shape is uniform across both families.
-  record.add("eval_path", to_string(harness::EvalPath::kScalar));
-  add_stream_version(record, stream_version(experiment));
-  record.add("additions", profiler.additions());
-  record.add("chains", profiler.total());
-  record.add("mean_chain_length", profiler.mean_length());
-  record.add("fraction_at_least_half_width",
-             profiler.fraction_at_least(experiment.width / 2));
-  return record.render_line();
 }
 
 }  // namespace
@@ -546,30 +444,25 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
                                                          const std::atomic<bool>* cancel,
                                                          RequestContext& ctx) {
   RunOutcome out;
-  const auto* error_rate = harness::find_error_rate_experiment(run.experiment);
-  const auto* chain_profile =
-      error_rate == nullptr ? harness::find_chain_profile_experiment(run.experiment) : nullptr;
-  if (error_rate == nullptr && chain_profile == nullptr) {
+  const std::optional<harness::ExperimentHandle> experiment =
+      harness::find_experiment(run.experiment);
+  if (!experiment) {
     out.error = "unknown experiment '" + run.experiment + "' (try \"list\")";
     out.code = kCodeUnknownExperiment;
     return out;
   }
-  if (chain_profile != nullptr && run.path_given) {
+  if (run.path_given && !experiment->eval_path_applies()) {
     out.error = "field 'eval_path' only applies to error-rate experiments; '" + run.experiment +
-                "' is a chain-profile experiment";
+                "' is a " + experiment->kind() + " experiment";
     return out;
   }
 
   CacheKey key;
   key.experiment = run.experiment;
-  key.samples = run.samples_given
-                    ? run.samples
-                    : (error_rate != nullptr ? error_rate->default_samples
-                                             : chain_profile->default_samples);
+  key.samples = run.samples_given ? run.samples : experiment->default_samples();
   key.seed = run.seed;
-  key.eval_path = to_string(error_rate != nullptr ? run.path : harness::EvalPath::kScalar);
-  key.stream_version = error_rate != nullptr ? stream_version(error_rate->dist)
-                                             : stream_version(*chain_profile);
+  key.eval_path = to_string(experiment->keyed_eval_path(run.path));
+  key.stream_version = experiment->stream_version();
 
   // Cancellation wears two hats: a fired per-request deadline (timeout) or
   // a server drain cancelling in-flight runs at its deadline (draining —
@@ -657,14 +550,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           if (ctx.trace.enabled()) options.profile = &collector;
           {
             const RequestTrace::Scope run_scope(ctx.trace, "engine-run");
-            if (error_rate != nullptr) {
-              const auto result = harness::run_experiment(*error_rate, options, run.path);
-              lookup.record = error_rate_record(*error_rate, key.seed, run.path, result);
-            } else {
-              const auto profiler = harness::run_experiment(*chain_profile, options);
-              lookup.record =
-                  chain_profile_record(*chain_profile, key.samples, key.seed, profiler);
-            }
+            lookup.record = experiment->run(options, run.path);
           }
           if (options.profile != nullptr) {
             ctx.profile_json = harness::render_run_profile(collector.snapshot());
@@ -896,12 +782,9 @@ ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request
   }
 
   std::vector<std::string> error_rate;
-  for (const auto* experiment : harness::error_rate_experiments_with_prefix(prefix)) {
-    error_rate.push_back(experiment->name);
-  }
   std::vector<std::string> chain_profile;
-  for (const auto* experiment : harness::chain_profile_experiments_with_prefix(prefix)) {
-    chain_profile.push_back(experiment->name);
+  for (const auto& experiment : harness::experiments_with_prefix(prefix)) {
+    (experiment.eval_path_applies() ? error_rate : chain_profile).push_back(experiment.name());
   }
 
   JsonObject response;
@@ -927,35 +810,18 @@ ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& req
   }
   if (!given || name.empty()) return error_reply(ctx, "describe requires field 'experiment'");
 
+  const std::optional<harness::ExperimentHandle> experiment = harness::find_experiment(name);
+  if (!experiment) {
+    return error_reply(ctx, "unknown experiment '" + name + "' (try \"list\")",
+                       kCodeUnknownExperiment);
+  }
   JsonObject response;
   response.add("status", "ok");
   response.add("request", "describe");
-  if (const auto* experiment = harness::find_error_rate_experiment(name)) {
-    response.add("experiment", experiment->name);
-    response.add("kind", "error-rate");
-    response.add("model", to_string(experiment->model));
-    response.add("width", experiment->width);
-    response.add("window", experiment->window);
-    response.add("distribution", arith::to_string(experiment->dist));
-    response.add("default_samples", experiment->default_samples);
-    response.add("description", experiment->description);
-    return {response.render_line(), false};
-  }
-  if (const auto* experiment = harness::find_chain_profile_experiment(name)) {
-    const bool crypto =
-        experiment->workload == harness::ChainProfileExperiment::Workload::kCrypto;
-    response.add("experiment", experiment->name);
-    response.add("kind", "chain-profile");
-    response.add("width", experiment->width);
-    response.add("workload", crypto ? "crypto" : "distribution");
-    response.add("source", crypto ? std::string(to_string(experiment->crypto_kind))
-                                  : arith::to_string(experiment->dist));
-    response.add("default_samples", experiment->default_samples);
-    response.add("description", experiment->description);
-    return {response.render_line(), false};
-  }
-  return error_reply(ctx, "unknown experiment '" + name + "' (try \"list\")",
-                     kCodeUnknownExperiment);
+  experiment->add_identity(response);
+  response.add("default_samples", experiment->default_samples());
+  response.add("description", experiment->description());
+  return {response.render_line(), false};
 }
 
 ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& request,

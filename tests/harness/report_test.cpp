@@ -158,6 +158,25 @@ TEST(BenchArgs, ParsesThreads) {
   EXPECT_EQ(args.threads, 8);
 }
 
+TEST(BenchArgs, ParsesArtifact) {
+  const char* bare[] = {"bench"};
+  EXPECT_EQ(BenchArgs::parse(1, const_cast<char**>(bare), 1).artifact, "");
+  const char* argv[] = {"bench", "--samples=9", "--artifact=table7.1"};
+  const auto args = BenchArgs::parse(3, const_cast<char**>(argv), 1);
+  EXPECT_EQ(args.artifact, "table7.1");
+  EXPECT_EQ(args.samples, 9u);
+}
+
+TEST(BenchArgs, RejectsAnEmptyArtifact) {
+  const char* argv[] = {"bench", "--artifact="};
+  try {
+    BenchArgs::parse(2, const_cast<char**>(argv), 1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("--artifact"), std::string::npos) << error.what();
+  }
+}
+
 TEST(Banner, ContainsArtifactAndDescription) {
   std::ostringstream os;
   print_banner(os, "Table 7.1", "error rates");

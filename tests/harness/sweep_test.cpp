@@ -77,7 +77,7 @@ TEST(SweepSpec, ExpandsTheCartesianGridDeterministically) {
   EXPECT_EQ(parsed.spec.cells[4].id, "eq5.2/n64-uniform|1000|1|batched");
   for (std::size_t i = 0; i < parsed.spec.cells.size(); ++i) {
     EXPECT_EQ(parsed.spec.cells[i].index, i);
-    EXPECT_TRUE(parsed.spec.cells[i].error_rate);
+    EXPECT_TRUE(parsed.spec.cells[i].eval_path_applies);
   }
   // Same spec, same cells: the property resume is built on.
   const SweepSpecParse again = parse_sweep_spec(text);
@@ -105,7 +105,7 @@ TEST(SweepSpec, PrefixSelectionFollowsRegistryOrderAndDeduplicates) {
   const SweepSpecParse parsed = parse_sweep_spec(
       R"({"experiments": ["eq5.2/n64-uniform", "eq5.2/"], "samples": [1000]})");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
-  const std::size_t registry_count = error_rate_experiments_with_prefix("eq5.2/").size();
+  const std::size_t registry_count = experiments_with_prefix("eq5.2/").size();
   EXPECT_EQ(parsed.spec.cells.size(), registry_count);
   EXPECT_EQ(parsed.spec.cells[0].experiment, "eq5.2/n64-uniform");
 }
@@ -115,9 +115,29 @@ TEST(SweepSpec, ChainProfileCellsAreKeyedScalar) {
       R"({"experiments": ["fig6.1/uniform-unsigned"], "samples": [2000]})");
   ASSERT_TRUE(parsed.ok()) << parsed.error;
   ASSERT_EQ(parsed.spec.cells.size(), 1u);
-  EXPECT_FALSE(parsed.spec.cells[0].error_rate);
+  EXPECT_FALSE(parsed.spec.cells[0].eval_path_applies);
   EXPECT_EQ(parsed.spec.cells[0].eval_path, "scalar");
   EXPECT_EQ(parsed.spec.cells[0].id, "fig6.1/uniform-unsigned|2000|1|scalar");
+}
+
+TEST(SweepSpec, MixedKindSelectionKeysEachCellByItsKind) {
+  // Entries expand in entry order, whatever their kind; only the error-rate
+  // cells carry the requested eval path, chain profiles are keyed scalar.
+  const SweepSpecParse parsed = parse_sweep_spec(
+      R"({"experiments": ["fig6.2/", "table7.1/n64"], "samples": [1000]})");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  std::vector<ExperimentHandle> selected = experiments_with_prefix("fig6.2/");
+  selected.push_back(*find_experiment("table7.1/n64"));
+  ASSERT_EQ(parsed.spec.cells.size(), selected.size());
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const SweepCell& cell = parsed.spec.cells[i];
+    EXPECT_EQ(cell.experiment, selected[i].name());
+    EXPECT_EQ(cell.eval_path_applies, selected[i].eval_path_applies()) << cell.experiment;
+    EXPECT_EQ(cell.eval_path, cell.eval_path_applies ? "batched" : "scalar")
+        << cell.experiment;
+  }
+  EXPECT_EQ(parsed.spec.cells.front().id, "fig6.2/rsa-like|1000|1|scalar");
+  EXPECT_EQ(parsed.spec.cells.back().id, "table7.1/n64|1000|1|batched");
 }
 
 TEST(SweepSpec, FiltersNarrowAPrefixSelection) {
