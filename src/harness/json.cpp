@@ -1,5 +1,6 @@
 #include "harness/json.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <stdexcept>
 
@@ -101,11 +102,22 @@ const JsonValue* JsonValue::find(std::string_view key) const {
   return nullptr;
 }
 
-namespace {
+const std::string* first_unknown_member(
+    const JsonValue& object, std::initializer_list<std::span<const std::string_view>> allowed) {
+  for (const auto& [key, value] : object.members()) {
+    const bool known = std::any_of(allowed.begin(), allowed.end(), [&key](const auto& names) {
+      return std::find(names.begin(), names.end(), key) != names.end();
+    });
+    if (!known) return &key;
+  }
+  return nullptr;
+}
 
-class Parser {
+namespace detail {
+
+class JsonParser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  explicit JsonParser(std::string_view text) : text_(text) {}
 
   JsonParse run() {
     JsonParse parse;
@@ -150,6 +162,14 @@ class Parser {
   }
 
   JsonValue parse_value(int depth) {
+    const std::size_t begin = pos_;
+    JsonValue value = parse_bare_value(depth);
+    value.source_begin_ = begin;
+    value.source_end_ = pos_;
+    return value;
+  }
+
+  JsonValue parse_bare_value(int depth) {
     if (depth > kMaxJsonDepth) {
       fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
       return {};
@@ -416,8 +436,8 @@ class Parser {
   std::size_t error_offset_ = 0;
 };
 
-}  // namespace
+}  // namespace detail
 
-JsonParse parse_json(std::string_view text) { return Parser(text).run(); }
+JsonParse parse_json(std::string_view text) { return detail::JsonParser(text).run(); }
 
 }  // namespace vlcsa::harness

@@ -13,12 +13,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 namespace vlcsa::harness {
+
+namespace detail {
+class JsonParser;
+}
 
 /// One parsed JSON value.  Object members and array items preserve document
 /// order (the same insertion-order contract JsonObject writes with).
@@ -59,14 +65,33 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   [[nodiscard]] const JsonValue* find(std::string_view key) const;
 
+  /// This value's exact source bytes.  `source` must be the text parse_json
+  /// parsed it from; a value built by a make_* factory has none (empty).
+  /// Carrying a nested value by its raw bytes keeps it byte-identical,
+  /// where re-rendering the parsed tree could reformat it.
+  [[nodiscard]] std::string_view raw_text(std::string_view source) const {
+    return source.substr(source_begin_, source_end_ - source_begin_);
+  }
+
  private:
+  friend class detail::JsonParser;  // records the source offsets
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double number_ = 0.0;
   std::string text_;  // string payload, or the raw number token
   std::vector<JsonValue> items_;
   std::vector<Member> members_;
+  std::size_t source_begin_ = 0;  // [begin, end) byte offsets in the parsed text
+  std::size_t source_end_ = 0;
 };
+
+/// Strict member check: the key of the first member of `object` that none
+/// of the `allowed` lists names, or nullptr when every member is expected.
+/// Each caller words its own error (a typo'd field must never be silently
+/// ignored).  `object` must be an object.
+[[nodiscard]] const std::string* first_unknown_member(
+    const JsonValue& object, std::initializer_list<std::span<const std::string_view>> allowed);
 
 /// Result of parsing; `error` is empty on success and names the problem plus
 /// the byte offset otherwise.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <initializer_list>
 #include <iostream>
 #include <istream>
 #include <string_view>
@@ -21,22 +20,10 @@ namespace vlcsa::harness {
 
 namespace {
 
-/// Strictness, in the service.cpp tradition: every member of the spec must
-/// be expected — a typo'd axis must never silently run a different grid.
-std::string check_spec_fields(const JsonValue& spec,
-                              std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : spec.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return "unknown field '" + key + "' in sweep spec";
-  }
-  return {};
-}
+/// The members a sweep spec may carry.
+constexpr std::string_view kSpecFields[] = {"name",    "experiments", "models",
+                                            "widths",  "windows",     "distributions",
+                                            "samples", "seeds",       "eval_path"};
 
 /// Reads an optional array of non-empty strings; "" or an error message.
 std::string read_string_axis(const JsonValue& spec, const char* name,
@@ -99,52 +86,6 @@ double quantile_sorted(const std::vector<double>& sorted, double q) {
   if (static_cast<double>(index) < rank) ++index;  // ceil
   if (index == 0) index = 1;
   return sorted[std::min(index, sorted.size()) - 1];
-}
-
-/// Extracts the raw bytes of one JSON value starting at `pos` (its first
-/// byte) — balanced-brace scan respecting string quoting, so an embedded
-/// record is carried through byte-identical to what the service rendered
-/// (re-rendering a parsed tree could reorder or reformat, breaking the
-/// byte-identity the resume contract promises).
-std::string raw_json_value(const std::string& text, std::size_t pos) {
-  if (pos >= text.size()) return {};
-  const char open = text[pos];
-  if (open != '{' && open != '[') return {};
-  const char close = open == '{' ? '}' : ']';
-  int depth = 0;
-  bool in_string = false;
-  for (std::size_t i = pos; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;  // skip the escaped character
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') {
-      in_string = true;
-    } else if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-      if (depth == 0 && c == close) return text.substr(pos, i - pos + 1);
-    }
-  }
-  return {};
-}
-
-/// Finds the next `"key": <value>` at or after `cursor` and returns the raw
-/// value bytes, advancing `cursor` past it; "" when absent.
-std::string next_raw_field(const std::string& text, const char* key, std::size_t& cursor) {
-  const std::string needle = std::string("\"") + key + "\": ";
-  const std::size_t at = text.find(needle, cursor);
-  if (at == std::string::npos) return {};
-  const std::size_t value_at = at + needle.size();
-  std::string value = raw_json_value(text, value_at);
-  if (!value.empty()) cursor = value_at + value.size();
-  return value;
 }
 
 std::string read_string_member(const JsonValue& object, const char* name) {
@@ -241,11 +182,10 @@ SweepSpecParse parse_sweep_spec(const std::string& text) {
     return out;
   }
   const JsonValue& spec = parse.value;
-  if (std::string error = check_spec_fields(
-          spec, {"name", "experiments", "models", "widths", "windows", "distributions",
-                 "samples", "seeds", "eval_path"});
-      !error.empty()) {
-    out.error = std::move(error);
+  // Strictness, in the service.cpp tradition: a typo'd axis must never
+  // silently run a different grid.
+  if (const std::string* unknown = first_unknown_member(spec, {kSpecFields})) {
+    out.error = "unknown field '" + *unknown + "' in sweep spec";
     return out;
   }
 
@@ -689,14 +629,12 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
         }
         if (depth == 0) continue;
         add_stage_us(stage_totals_us, name, dur_us);
-        if (name == "element") element_ms.push_back(static_cast<double>(dur_us) * 1e-3);
+        if (name == service::stage_name(service::Stage::kElement)) {
+          element_ms.push_back(static_cast<double>(dur_us) * 1e-3);
+        }
       }
     }
 
-    // Raw-byte cursors: records and profiles are lifted from the reply text
-    // verbatim (see raw_json_value) in element order.
-    std::size_t record_cursor = 0;
-    std::size_t profile_cursor = 0;
     for (std::size_t k = 0; k < count; ++k) {
       const SweepCell& cell = spec.cells[base + k];
       const JsonValue& element = results->items()[k];
@@ -720,9 +658,14 @@ SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& options,
       result.cached = !result.cache.empty() && result.cache != "miss";
       result.trace_id = trace_id;
       result.wall_ms = wall_ms;
-      result.record = next_raw_field(reply, "record", record_cursor);
-      if (element.find("profile") != nullptr) {
-        result.profile = next_raw_field(reply, "profile", profile_cursor);
+      // Records and profiles are lifted from the reply text verbatim:
+      // re-rendering the parsed tree could reformat them, breaking the
+      // byte-identity the resume contract promises.
+      if (const JsonValue* record = element.find("record"); record != nullptr) {
+        result.record = record->raw_text(reply);
+      }
+      if (const JsonValue* profile = element.find("profile"); profile != nullptr) {
+        result.profile = profile->raw_text(reply);
       }
       terminal_wall_ms.push_back(wall_ms);
       ++done;

@@ -66,6 +66,16 @@ struct CacheStats {
   std::uint64_t lease_takeovers = 0;  // stale (crashed-holder) leases reaped
   std::uint64_t memory_entries = 0;  // current, not monotonic; filled by stats()
   std::uint64_t disk_bytes = 0;      // current on-disk record bytes; by stats()
+
+  /// Lookups answered without computing: both tiers plus coalesced followers.
+  [[nodiscard]] std::uint64_t hits() const { return memory_hits + disk_hits + coalesced_hits; }
+  /// `count` as a share of every lookup that answered a run (hits() +
+  /// misses); 0.0 before any traffic.
+  [[nodiscard]] double share(std::uint64_t count) const {
+    const std::uint64_t lookups = hits() + misses;
+    return lookups == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(lookups);
+  }
+  [[nodiscard]] double hit_ratio() const { return share(hits()); }
 };
 
 class ResultCache {

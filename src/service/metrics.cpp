@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 
 namespace vlcsa::service {
 
@@ -30,29 +31,20 @@ double bucket_quantile(const std::array<std::uint64_t, N>& buckets,
 
 }  // namespace
 
-ServiceMetrics::ServiceMetrics()
-    : start_(std::chrono::steady_clock::now()),
-      by_type_(request_types().size(), 0),
-      stages_(stage_names().size()) {}
-
-const std::vector<std::string>& ServiceMetrics::request_types() {
-  // Keep in sync with ExperimentService's dispatch table (service.cpp); the
-  // protocol-doc test pins the dispatch table against DESIGN.md and the
-  // metrics test pins this list against the dispatch table.
-  static const std::vector<std::string> kTypes = {
-      "run",     "run-batch",    "list",     "describe",  "cache-stats",
-      "metrics", "metrics-prom", "drain",    "shutdown",  "invalid"};
-  return kTypes;
+ServiceMetrics::ServiceMetrics(std::vector<std::string> request_types)
+    : start_(std::chrono::steady_clock::now()), types_(std::move(request_types)) {
+  types_.emplace_back("invalid");
+  by_type_.assign(types_.size(), 0);
 }
 
 const std::vector<std::string>& ServiceMetrics::stage_names() {
-  // The trace span names the service emits (service.cpp request handling) —
-  // these become the fixed `stage` label set of the exposition, so scrapers
-  // never see a label churn.  "request" (the root span) is excluded: its
-  // distribution is the request latency histogram itself.
-  static const std::vector<std::string> kStages = {
-      "parse", "cache-lookup", "coalesced-wait", "lease-wait", "engine-run",
-      "record-write", "render", "element"};
+  static const std::vector<std::string> kStages = [] {
+    std::vector<std::string> names;
+    for (std::size_t i = 1; i < kStageCount; ++i) {
+      names.emplace_back(stage_name(static_cast<Stage>(i)));
+    }
+    return names;
+  }();
   return kStages;
 }
 
@@ -83,20 +75,12 @@ ServiceMetrics::InFlight::~InFlight() {
   --metrics_.in_flight_;
 }
 
-void ServiceMetrics::record_request(const std::string& type, bool ok, double seconds) {
+void ServiceMetrics::record_request(std::size_t type, bool ok, double seconds) {
   const auto now = std::chrono::steady_clock::now();
   const std::lock_guard<std::mutex> lock(mutex_);
   ++requests_total_;
   ++(ok ? ok_total_ : error_total_);
-  const auto& types = request_types();
-  std::size_t index = types.size() - 1;  // "invalid" is the fallback slot
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    if (types[i] == type) {
-      index = i;
-      break;
-    }
-  }
-  ++by_type_[index];
+  ++by_type_[std::min(type, by_type_.size() - 1)];  // "invalid" is the last slot
 
   latency_max_seconds_ = std::max(latency_max_seconds_, seconds);
   latency_sum_seconds_ += seconds;
@@ -141,18 +125,12 @@ void ServiceMetrics::set_draining(bool draining) {
   draining_ = draining;
 }
 
-void ServiceMetrics::record_stage(const std::string& stage, double seconds) {
-  const auto& names = stage_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == stage) {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      StageState& state = stages_[i];
-      ++state.buckets[bucket_index(seconds)];
-      state.sum_seconds += seconds;
-      ++state.count;
-      return;
-    }
-  }
+void ServiceMetrics::record_stage(Stage stage, double seconds) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  StageState& state = stages_[static_cast<std::size_t>(stage)];
+  ++state.buckets[bucket_index(seconds)];
+  state.sum_seconds += seconds;
+  ++state.count;
 }
 
 MetricsSnapshot ServiceMetrics::snapshot() const {
@@ -194,16 +172,14 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   out.latency_max_seconds = latency_max_seconds_;
   out.latency_sum_seconds = latency_sum_seconds_;
   out.latency_buckets.assign(buckets_.begin(), buckets_.end());
-  const auto& types = request_types();
-  out.by_type.reserve(types.size());
-  for (std::size_t i = 0; i < types.size(); ++i) {
-    out.by_type.push_back({types[i], by_type_[i]});
+  out.by_type.reserve(types_.size());
+  for (std::size_t i = 0; i < types_.size(); ++i) {
+    out.by_type.push_back({types_[i], by_type_[i]});
   }
-  const auto& stages = stage_names();
-  out.stages.reserve(stages.size());
-  for (std::size_t i = 0; i < stages.size(); ++i) {
+  out.stages.reserve(kStageCount - 1);
+  for (std::size_t i = 1; i < kStageCount; ++i) {  // kRequest is not exported
     StageLatency stage;
-    stage.name = stages[i];
+    stage.name = stage_name(static_cast<Stage>(i));
     stage.buckets.assign(stages_[i].buckets.begin(), stages_[i].buckets.end());
     stage.sum_seconds = stages_[i].sum_seconds;
     stage.count = stages_[i].count;

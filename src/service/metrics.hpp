@@ -14,6 +14,7 @@
 // is the upper bound of the bucket containing it).  All methods are
 // thread-safe — the socket workers record concurrently.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "service/cache.hpp"
+#include "service/trace.hpp"
 
 namespace vlcsa::service {
 
@@ -63,13 +65,16 @@ struct MetricsSnapshot {
   double latency_max_seconds = 0.0;      // exact, not bucketed
   double latency_sum_seconds = 0.0;      // exact sum (histogram _sum)
   std::vector<std::uint64_t> latency_buckets;  // per-bucket counts (+overflow)
-  std::vector<RequestTypeCount> by_type;  // registration order, see kRequestTypes
+  std::vector<RequestTypeCount> by_type;  // request-table order, then "invalid"
   std::vector<StageLatency> stages;       // per-stage latency, stage_names() order
 };
 
 class ServiceMetrics {
  public:
-  ServiceMetrics();
+  /// `request_types` are the protocol's request names in request-table order
+  /// (ExperimentService::request_names()); the breakdown appends one
+  /// "invalid" slot for lines that never reached a handler.
+  explicit ServiceMetrics(std::vector<std::string> request_types);
 
   /// Scoped in-flight gauge: constructed when a handler starts, destroyed
   /// when it returns (including via exception).
@@ -84,10 +89,10 @@ class ServiceMetrics {
     ServiceMetrics& metrics_;
   };
 
-  /// Records one completed request line: its protocol type (a kRequestTypes
-  /// name, or "invalid" for lines that never reached a handler), whether the
-  /// response said ok, and the handler wall time.
-  void record_request(const std::string& type, bool ok, double seconds);
+  /// Records one completed request line: its protocol type (an index into
+  /// the constructor's request_types; any index past them counts as
+  /// "invalid"), whether the response said ok, and the handler wall time.
+  void record_request(std::size_t type, bool ok, double seconds);
 
   /// One run/run-batch element hit its deadline and was cancelled.
   void record_timeout();
@@ -111,18 +116,20 @@ class ServiceMetrics {
   void set_draining(bool draining);
 
   /// Records one stage duration (a trace span) into the per-stage latency
-  /// histograms.  `stage` must be a stage_names() entry; unknown names are
-  /// ignored so the histogram label set stays fixed for scrapers.
-  void record_stage(const std::string& stage, double seconds);
+  /// histograms.  Stage::kRequest has no histogram of its own — its
+  /// distribution is the request latency histogram — so it is not exported.
+  void record_stage(Stage stage, double seconds);
 
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// The request-type names the breakdown tracks ("invalid" last).
-  [[nodiscard]] static const std::vector<std::string>& request_types();
+  /// The breakdown name of request type `type` ("invalid" past the table).
+  [[nodiscard]] const std::string& type_name(std::size_t type) const {
+    return types_[std::min(type, types_.size() - 1)];
+  }
 
-  /// The stage names record_stage accepts — the trace span names the
-  /// service emits (service.cpp), which double as the `stage` label values
-  /// of the Prometheus exposition.
+  /// The names of the exported stage histograms: every Stage but kRequest,
+  /// in enum order — the fixed `stage` label set of the Prometheus
+  /// exposition.
   [[nodiscard]] static const std::vector<std::string>& stage_names();
 
   /// Upper bucket bounds of every latency histogram, in seconds (the 1-2-5
@@ -158,7 +165,8 @@ class ServiceMetrics {
   double latency_max_seconds_ = 0.0;
   double latency_sum_seconds_ = 0.0;
   Buckets buckets_{};
-  std::vector<std::uint64_t> by_type_;  // parallel to request_types()
+  std::vector<std::string> types_;      // request types, then "invalid"
+  std::vector<std::uint64_t> by_type_;  // parallel to types_
 
   // Last-60-seconds request ring for qps_60s: slot = second % 60, tagged
   // with second + 1 (0 = never written) so stale slots from an idle gap are
@@ -166,13 +174,13 @@ class ServiceMetrics {
   std::array<std::uint64_t, 60> second_counts_{};
   std::array<std::uint64_t, 60> second_stamps_{};
 
-  /// One stage's histogram state (parallel to stage_names()).
+  /// One stage's histogram state, indexed by Stage.
   struct StageState {
     Buckets buckets{};
     double sum_seconds = 0.0;
     std::uint64_t count = 0;
   };
-  std::vector<StageState> stages_;
+  std::array<StageState, kStageCount> stages_{};
 };
 
 /// Renders a metrics snapshot + cache stats in the Prometheus text

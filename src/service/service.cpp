@@ -1,11 +1,14 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <initializer_list>
 #include <istream>
+#include <iterator>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -23,6 +26,7 @@ namespace vlcsa::service {
 /// handle_line — never shared between requests.
 struct ExperimentService::RequestContext {
   RequestTrace trace;
+  std::string_view request;    // the request-table row's name, once dispatched
   std::string trace_id;        // request-supplied, else generated in finalize
   bool echo = false;           // "trace": true — echo spans in the reply
   std::string origin;          // caller-declared traffic origin (e.g. "sweep")
@@ -63,21 +67,37 @@ ExperimentService::Reply error_reply(ExperimentService::RequestContext& ctx,
   return {response.render_line(), false, false};
 }
 
+/// {"status": "ok", "request": NAME, ...}: every ok reply opens with its
+/// request-table name.
+JsonObject ok_response(const ExperimentService::RequestContext& ctx) {
+  JsonObject response;
+  response.add("status", "ok");
+  response.add("request", std::string(ctx.request));
+  return response;
+}
+
+/// The envelope fields every request accepts (read_trace_envelope below,
+/// plus "request" itself).
+constexpr std::string_view kEnvelopeFields[] = {"request", "trace", "trace_id", "origin"};
+
+/// The request-specific fields of the request table's rows (the envelope
+/// fields are implied for every row).  A run-batch element is a run spec:
+/// the run fields minus the last, timeout_ms — a batch has one deadline.
+constexpr std::string_view kRunFields[] = {"experiment", "samples", "seed", "eval_path",
+                                           "timeout_ms"};
+constexpr auto kBatchElementFields =
+    std::span<const std::string_view>(kRunFields).first(std::size(kRunFields) - 1);
+constexpr std::string_view kRunBatchFields[] = {"runs", "timeout_ms"};
+constexpr std::string_view kListFields[] = {"prefix"};
+constexpr std::string_view kDescribeFields[] = {"experiment"};
+
 /// Strictness: every member of the request object must be expected for its
 /// request type — a typo'd field is an error, never silently ignored.
 std::string check_fields(const JsonValue& request,
-                         std::initializer_list<std::string_view> allowed) {
-  for (const auto& [key, value] : request.members()) {
-    bool known = false;
-    for (const std::string_view name : allowed) {
-      if (key == name) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) return "unknown field '" + key + "' for this request";
-  }
-  return {};
+                         std::initializer_list<std::span<const std::string_view>> allowed) {
+  const std::string* unknown = harness::first_unknown_member(request, allowed);
+  if (unknown == nullptr) return {};
+  return "unknown field '" + *unknown + "' for this request";
 }
 
 /// Optional unsigned-integer field; "" or an error message.
@@ -102,6 +122,26 @@ std::string read_string_field(const JsonValue& request, const char* name, std::s
     return std::string("field '") + name + "' must be a string";
   }
   out = field->as_string();
+  return {};
+}
+
+/// The deadline a run/run-batch request arms: its optional "timeout_ms"
+/// (positive, at most kMaxTimeoutMs), else `fallback` (the server default).
+/// "" or an error message.
+std::string read_timeout_ms(const JsonValue& request, int fallback, int& out) {
+  std::uint64_t timeout_ms = 0;
+  bool given = false;
+  if (std::string error = read_u64_field(request, "timeout_ms", timeout_ms, given);
+      !error.empty()) {
+    return error;
+  }
+  out = fallback;
+  if (!given) return {};
+  if (timeout_ms == 0) {
+    return "field 'timeout_ms' must be positive (omit it for the server default)";
+  }
+  if (timeout_ms > kMaxTimeoutMs) return "field 'timeout_ms' must be at most 86400000 (24 hours)";
+  out = static_cast<int>(timeout_ms);
   return {};
 }
 
@@ -174,8 +214,6 @@ struct ExperimentService::RunSpec {
   std::uint64_t seed = 1;
   harness::EvalPath path = harness::EvalPath::kBatched;
   bool path_given = false;
-  std::uint64_t timeout_ms = 0;  // request-level override; 0 = not given
-  bool timeout_given = false;
 };
 
 /// What running one spec produced: either `error` (+ `code`) or a record.
@@ -189,13 +227,10 @@ struct ExperimentService::RunOutcome {
 
 namespace {
 
-/// Parses/validates one run spec's fields.  `allowed` differs between a
-/// top-level run request ("request"/"timeout_ms" permitted) and a run-batch
-/// element (bare spec only); "" or an error message.
-std::string read_run_spec(const JsonValue& request,
-                          std::initializer_list<std::string_view> allowed,
-                          ExperimentService::RunSpec& out) {
-  if (std::string error = check_fields(request, allowed); !error.empty()) return error;
+/// Validates one run spec's values (its fields are already checked: by the
+/// request table for a run, per element for a run-batch); "" or an error
+/// message.
+std::string read_run_spec(const JsonValue& request, ExperimentService::RunSpec& out) {
   bool given = false;
   if (std::string error = read_string_field(request, "experiment", out.experiment, given);
       !error.empty()) {
@@ -219,17 +254,6 @@ std::string read_run_spec(const JsonValue& request,
   }
   if (out.path_given && !harness::parse_eval_path(path_text, out.path)) {
     return "field 'eval_path' must be \"batched\" or \"scalar\"";
-  }
-  if (std::string error =
-          read_u64_field(request, "timeout_ms", out.timeout_ms, out.timeout_given);
-      !error.empty()) {
-    return error;
-  }
-  if (out.timeout_given && out.timeout_ms == 0) {
-    return "field 'timeout_ms' must be positive (omit it for the server default)";
-  }
-  if (out.timeout_given && out.timeout_ms > kMaxTimeoutMs) {
-    return "field 'timeout_ms' must be at most 86400000 (24 hours)";
   }
   return {};
 }
@@ -268,7 +292,8 @@ class ArmedDeadline {
 ExperimentService::ExperimentService(ServiceConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_dir, config_.memory_entries, config_.cache_max_bytes,
-             config_.lease_stale_ms) {
+             config_.lease_stale_ms),
+      metrics_(request_names()) {
   if (!config_.trace_log.empty()) {
     log_error_ = trace_log_.open(config_.trace_log);
   }
@@ -280,9 +305,28 @@ ExperimentService::ExperimentService(ServiceConfig config)
   }
 }
 
+std::span<const ExperimentService::RequestType> ExperimentService::request_table() {
+  // The protocol, one row per request type in documentation order:
+  // dispatch, strict field checking, the metrics type breakdown and the
+  // protocol-doc test (DESIGN.md) all read this table.
+  static constexpr RequestType kTable[] = {
+      {"run", &ExperimentService::handle_run, kRunFields},
+      {"run-batch", &ExperimentService::handle_run_batch, kRunBatchFields},
+      {"list", &ExperimentService::handle_list, kListFields},
+      {"describe", &ExperimentService::handle_describe, kDescribeFields},
+      {"cache-stats", &ExperimentService::handle_cache_stats, {}},
+      {"metrics", &ExperimentService::handle_metrics, {}},
+      {"metrics-prom", &ExperimentService::handle_metrics_prom, {}},
+      {"drain", &ExperimentService::handle_drain, {}},
+      {"shutdown", &ExperimentService::handle_shutdown, {}},
+  };
+  return kTable;
+}
+
 std::vector<std::string> ExperimentService::request_names() {
-  return {"run",     "run-batch", "list",         "describe", "cache-stats",
-          "metrics", "metrics-prom", "drain",     "shutdown"};
+  std::vector<std::string> names;
+  for (const RequestType& row : request_table()) names.emplace_back(row.name);
+  return names;
 }
 
 void ExperimentService::begin_drain() {
@@ -305,13 +349,14 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
   if (trace_log_.enabled() || line.find("\"trace") != std::string::npos) {
     ctx.trace.enable();
   }
-  const std::size_t root = ctx.trace.open("request");
+  const std::size_t root = ctx.trace.open(Stage::kRequest);
 
-  std::string type = "invalid";
+  const std::span<const RequestType> table = request_table();
+  std::size_t type = table.size();  // the metrics' "invalid" slot until a row matches
   Reply reply;
   harness::JsonParse parse;
   {
-    const RequestTrace::Scope parse_scope(ctx.trace, "parse");
+    const RequestTrace::Scope parse_scope(ctx.trace, Stage::kParse);
     parse = harness::parse_json(line);
   }
   std::string envelope_error;
@@ -327,48 +372,34 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
     if (request_field == nullptr || request_field->kind() != JsonValue::Kind::kString) {
       reply = error_reply(ctx, "missing string field 'request'");
     } else {
-      // The dispatch table: one row per request type.  request_names() and
-      // DESIGN.md's protocol reference must list exactly these names — the
-      // protocol-doc test diffs all three.
-      struct Row {
-        const char* name;
-        Reply (ExperimentService::*handler)(const JsonValue&, RequestContext&);
-      };
-      static constexpr Row kDispatch[] = {
-          {"run", &ExperimentService::handle_run},
-          {"run-batch", &ExperimentService::handle_run_batch},
-          {"list", &ExperimentService::handle_list},
-          {"describe", &ExperimentService::handle_describe},
-          {"cache-stats", &ExperimentService::handle_cache_stats},
-          {"metrics", &ExperimentService::handle_metrics},
-          {"metrics-prom", &ExperimentService::handle_metrics_prom},
-          {"drain", &ExperimentService::handle_drain},
-          {"shutdown", &ExperimentService::handle_shutdown},
-      };
       const std::string& request = request_field->as_string();
-      const Row* row = nullptr;
-      for (const Row& candidate : kDispatch) {
-        if (request == candidate.name) {
-          row = &candidate;
-          break;
+      const auto row = std::find_if(table.begin(), table.end(), [&request](const auto& row) {
+        return row.name == request;
+      });
+      if (row == table.end()) {
+        std::string expected;
+        for (auto it = table.begin(); it != table.end(); ++it) {
+          if (it != table.begin()) expected += it + 1 == table.end() ? " or " : ", ";
+          expected += it->name;
         }
-      }
-      if (row == nullptr) {
-        reply = error_reply(ctx,
-                            "unknown request '" + request +
-                                "' (expected run, run-batch, list, describe, cache-stats, "
-                                "metrics, metrics-prom, drain or shutdown)",
+        reply = error_reply(ctx, "unknown request '" + request + "' (expected " + expected + ")",
                             kCodeUnknownRequest);
       } else {
-        type = row->name;
-        // A daemon must outlive any single request: anything a handler
-        // throws (engine failures, rethrown leader exceptions from the
-        // single-flight latch) becomes an error reply, never a dead server.
-        try {
-          reply = (this->*row->handler)(parse.value, ctx);
-        } catch (const std::exception& error) {
-          reply =
-              error_reply(ctx, std::string("internal error: ") + error.what(), kCodeInternal);
+        type = static_cast<std::size_t>(row - table.begin());
+        ctx.request = row->name;
+        if (std::string error = check_fields(parse.value, {kEnvelopeFields, row->fields});
+            !error.empty()) {
+          reply = error_reply(ctx, error);
+        } else {
+          // A daemon must outlive any single request: anything a handler
+          // throws (engine failures, rethrown leader exceptions from the
+          // single-flight latch) becomes an error reply, never a dead server.
+          try {
+            reply = (this->*row->handler)(parse.value, ctx);
+          } catch (const std::exception& failure) {
+            reply = error_reply(ctx, std::string("internal error: ") + failure.what(),
+                                kCodeInternal);
+          }
         }
       }
     }
@@ -381,15 +412,15 @@ ExperimentService::Reply ExperimentService::handle_line(const std::string& line)
   return reply;
 }
 
-void ExperimentService::finalize_request(RequestContext& ctx, const std::string& type,
-                                         Reply& reply, double wall_seconds) {
+void ExperimentService::finalize_request(RequestContext& ctx, std::size_t type, Reply& reply,
+                                         double wall_seconds) {
   if (!ctx.trace.enabled() && !access_log_.enabled()) return;
 
   // Span durations feed the per-stage latency histograms ("metrics-prom");
-  // the depth-0 root is the request latency histogram itself and is skipped.
+  // the root is the request latency histogram itself and is skipped.
   for (const TraceSpan& span : ctx.trace.spans()) {
-    if (span.depth == 0) continue;
-    metrics_.record_stage(span.name, static_cast<double>(span.dur_us) * 1e-6);
+    if (span.stage == Stage::kRequest) continue;
+    metrics_.record_stage(span.stage, static_cast<double>(span.dur_us) * 1e-6);
   }
 
   if (ctx.trace_id.empty()) ctx.trace_id = trace_ids_.next();
@@ -415,7 +446,7 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
   JsonObject entry;
   entry.add("ts", timestamp);
   entry.add("trace_id", ctx.trace_id);
-  entry.add("type", type);
+  entry.add("type", metrics_.type_name(type));
   if (!ctx.origin.empty()) entry.add("origin", ctx.origin);
   if (!ctx.experiment.empty()) entry.add("experiment", ctx.experiment);
   if (!ctx.cache.empty()) entry.add("cache", ctx.cache);
@@ -433,11 +464,6 @@ void ExperimentService::finalize_request(RequestContext& ctx, const std::string&
     if (!ctx.profile_json.empty()) entry.add_json("profile", ctx.profile_json);
     trace_log_.write(entry.render_line());
   }
-}
-
-int ExperimentService::effective_timeout_ms(const RunSpec& spec) const {
-  if (spec.timeout_given) return static_cast<int>(spec.timeout_ms);
-  return config_.timeout_ms;
 }
 
 ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
@@ -513,7 +539,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
         bool lease_waited = false;
         while (true) {
           {
-            const RequestTrace::Scope lookup_scope(ctx.trace, "cache-lookup");
+            const RequestTrace::Scope lookup_scope(ctx.trace, Stage::kCacheLookup);
             lookup = cache_.get(key);
           }
           if (lookup.tier != ResultCache::Tier::kMiss) break;
@@ -527,7 +553,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
               lease_waited = true;  // count once per request, not per poll round
               cache_.record_lease_wait();
             }
-            const RequestTrace::Scope wait_scope(ctx.trace, "lease-wait");
+            const RequestTrace::Scope wait_scope(ctx.trace, Stage::kLeaseWait);
             const fleet::LeaseWaitResult wait = fleet::wait_for_lease_release(
                 cache_.lease_path(key), cache_.lease_stale_ms(), cancel);
             if (wait == fleet::LeaseWaitResult::kCancelled) throw harness::RunCancelled{};
@@ -549,7 +575,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           harness::RunProfileCollector collector;
           if (ctx.trace.enabled()) options.profile = &collector;
           {
-            const RequestTrace::Scope run_scope(ctx.trace, "engine-run");
+            const RequestTrace::Scope run_scope(ctx.trace, Stage::kEngineRun);
             lookup.record = experiment->run(options, run.path);
           }
           if (options.profile != nullptr) {
@@ -558,7 +584,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
           {
             // Only a completed run reaches put(): RunCancelled throws past
             // it, so a timed-out run never writes a partial cache record.
-            const RequestTrace::Scope put_scope(ctx.trace, "record-write");
+            const RequestTrace::Scope put_scope(ctx.trace, Stage::kRecordWrite);
             cache_.put(key, lookup.record);
           }
           // The lease releases here (RAII) — after the record is on disk,
@@ -580,7 +606,7 @@ ExperimentService::RunOutcome ExperimentService::run_one(const RunSpec& run,
       promise.set_value(lookup.record);
     } else {
       out.coalesced = true;
-      const RequestTrace::Scope wait_scope(ctx.trace, "coalesced-wait");
+      const RequestTrace::Scope wait_scope(ctx.trace, Stage::kCoalescedWait);
       // A follower enforces its *own* deadline: the leader may have a longer
       // deadline (or none), so the wait is bounded by this request's token.
       // The leader keeps computing — only this reply times out.
@@ -616,14 +642,10 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
                        kCodeDraining);
   }
   RunSpec run;
-  if (std::string error =
-          read_run_spec(request,
-                        {"request", "experiment", "samples", "seed", "eval_path",
-                         "timeout_ms", "trace", "trace_id", "origin"},
-                        run);
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
+  int timeout_ms = 0;
+  std::string error = read_run_spec(request, run);
+  if (error.empty()) error = read_timeout_ms(request, config_.timeout_ms, timeout_ms);
+  if (!error.empty()) return error_reply(ctx, error);
   ctx.experiment = run.experiment;
   if (ctx.origin == "sweep") metrics_.record_sweep_request(1);
 
@@ -634,7 +656,7 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   // Registered for the drain deadline's cancel sweep (declaration order
   // matters: the scope unregisters before the token it points at dies).
   const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_timeout_ms(run), &cancel);
+  const ArmedDeadline deadline(watchdog_, start, timeout_ms, &cancel);
   // The token goes to the engine whether or not a deadline is armed: the
   // drain sweep (cancel_active_runs) flips it too, and an untimed run must
   // still die at the drain deadline.
@@ -643,10 +665,8 @@ ExperimentService::Reply ExperimentService::handle_run(const JsonValue& request,
   ctx.cache = outcome.coalesced ? "coalesced" : tier_name(outcome.tier);
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-  const RequestTrace::Scope render_scope(ctx.trace, "render");
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "run");
+  const RequestTrace::Scope render_scope(ctx.trace, Stage::kRender);
+  JsonObject response = ok_response(ctx);
   response.add("experiment", run.experiment);
   response.add("cache", ctx.cache);
   response.add("wall_seconds", wall);
@@ -660,27 +680,16 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     return error_reply(ctx, "server draining: not accepting new runs, retry another replica",
                        kCodeDraining);
   }
-  if (std::string error =
-          check_fields(request, {"request", "runs", "timeout_ms", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   const JsonValue* runs = request.find("runs");
   if (runs == nullptr || runs->kind() != JsonValue::Kind::kArray) {
     return error_reply(ctx, "run-batch requires array field 'runs'");
   }
-  std::uint64_t timeout_ms = 0;
-  bool timeout_given = false;
-  if (std::string error = read_u64_field(request, "timeout_ms", timeout_ms, timeout_given);
+  // One deadline for the whole batch: the request either finishes inside it
+  // or drains its remaining elements as per-element timeout errors.
+  int timeout_ms = 0;
+  if (std::string error = read_timeout_ms(request, config_.timeout_ms, timeout_ms);
       !error.empty()) {
     return error_reply(ctx, error);
-  }
-  if (timeout_given && timeout_ms == 0) {
-    return error_reply(ctx,
-                       "field 'timeout_ms' must be positive (omit it for the server default)");
-  }
-  if (timeout_given && timeout_ms > kMaxTimeoutMs) {
-    return error_reply(ctx, "field 'timeout_ms' must be at most 86400000 (24 hours)");
   }
   if (ctx.origin == "sweep") {
     metrics_.record_sweep_request(static_cast<std::uint64_t>(runs->items().size()));
@@ -689,13 +698,9 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
 
-  // One deadline for the whole batch: the request either finishes inside it
-  // or drains its remaining elements as per-element timeout errors.
-  const int effective_ms =
-      timeout_given ? static_cast<int>(timeout_ms) : config_.timeout_ms;
   std::atomic<bool> cancel{false};
   const fleet::DrainState::RunScope drain_scope(drain_, &cancel);
-  const ArmedDeadline deadline(watchdog_, start, effective_ms, &cancel);
+  const ArmedDeadline deadline(watchdog_, start, timeout_ms, &cancel);
 
   std::vector<std::string> results;
   results.reserve(runs->items().size());
@@ -704,7 +709,7 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
   for (const JsonValue& element : runs->items()) {
     // One "element" span per batch element (all depth 1, sequential): the
     // trace shows where a slow batch spent its deadline element by element.
-    const RequestTrace::Scope element_scope(ctx.trace, "element");
+    const RequestTrace::Scope element_scope(ctx.trace, Stage::kElement);
     metrics_.record_batch_element();
     // Per-element profile attribution: run_one fills ctx.profile_json for a
     // traced computed run; clearing it per element keeps each profile with
@@ -716,7 +721,8 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
     if (element.kind() != JsonValue::Kind::kObject) {
       error = "batch element must be a JSON object (a run spec)";
     } else {
-      error = read_run_spec(element, {"experiment", "samples", "seed", "eval_path"}, spec);
+      error = check_fields(element, {kBatchElementFields});
+      if (error.empty()) error = read_run_spec(element, spec);
     }
     if (!error.empty()) {
       rendered.add("status", "error");
@@ -756,10 +762,8 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
   }
 
   const double wall = std::chrono::duration<double>(Clock::now() - start).count();
-  const RequestTrace::Scope render_scope(ctx.trace, "render");
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "run-batch");
+  const RequestTrace::Scope render_scope(ctx.trace, Stage::kRender);
+  JsonObject response = ok_response(ctx);
   response.add("count", static_cast<std::uint64_t>(results.size()));
   response.add("ok", ok_count);
   response.add("errors", error_count);
@@ -770,10 +774,6 @@ ExperimentService::Reply ExperimentService::handle_run_batch(const JsonValue& re
 
 ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request,
                                                         RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "prefix", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   std::string prefix;
   bool given = false;
   if (std::string error = read_string_field(request, "prefix", prefix, given);
@@ -787,9 +787,7 @@ ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request
     (experiment.eval_path_applies() ? error_rate : chain_profile).push_back(experiment.name());
   }
 
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "list");
+  JsonObject response = ok_response(ctx);
   response.add_json("error_rate", render_string_array(error_rate));
   response.add_json("chain_profile", render_string_array(chain_profile));
   return {response.render_line(), false};
@@ -797,11 +795,6 @@ ExperimentService::Reply ExperimentService::handle_list(const JsonValue& request
 
 ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& request,
                                                             RequestContext& ctx) {
-  if (std::string error =
-          check_fields(request, {"request", "experiment", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   std::string name;
   bool given = false;
   if (std::string error = read_string_field(request, "experiment", name, given);
@@ -815,40 +808,25 @@ ExperimentService::Reply ExperimentService::handle_describe(const JsonValue& req
     return error_reply(ctx, "unknown experiment '" + name + "' (try \"list\")",
                        kCodeUnknownExperiment);
   }
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "describe");
+  JsonObject response = ok_response(ctx);
   experiment->add_identity(response);
   response.add("default_samples", experiment->default_samples());
   response.add("description", experiment->description());
   return {response.render_line(), false};
 }
 
-ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& request,
+ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& /*request*/,
                                                                RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   const CacheStats stats = cache_.stats();
-  // Per-tier ratios over all lookups that answered a run: memory, disk,
-  // coalesced (single-flight followers), and leader misses.
-  const std::uint64_t hits = stats.memory_hits + stats.disk_hits + stats.coalesced_hits;
-  const std::uint64_t lookups = hits + stats.misses;
-  const auto ratio = [lookups](std::uint64_t count) {
-    return lookups == 0 ? 0.0 : static_cast<double>(count) / static_cast<double>(lookups);
-  };
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "cache-stats");
+  JsonObject response = ok_response(ctx);
   response.add("memory_hits", stats.memory_hits);
   response.add("disk_hits", stats.disk_hits);
   response.add("coalesced_hits", stats.coalesced_hits);
   response.add("misses", stats.misses);
-  response.add("memory_hit_ratio", ratio(stats.memory_hits));
-  response.add("disk_hit_ratio", ratio(stats.disk_hits));
-  response.add("coalesced_hit_ratio", ratio(stats.coalesced_hits));
-  response.add("hit_ratio", ratio(hits));
+  response.add("memory_hit_ratio", stats.share(stats.memory_hits));
+  response.add("disk_hit_ratio", stats.share(stats.disk_hits));
+  response.add("coalesced_hit_ratio", stats.share(stats.coalesced_hits));
+  response.add("hit_ratio", stats.hit_ratio());
   response.add("stores", stats.stores);
   response.add("evictions", stats.evictions);
   response.add("disk_evictions", stats.disk_evictions);
@@ -863,20 +841,12 @@ ExperimentService::Reply ExperimentService::handle_cache_stats(const JsonValue& 
   return {response.render_line(), false};
 }
 
-ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& request,
+ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& /*request*/,
                                                            RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   const MetricsSnapshot snapshot = metrics_.snapshot();
   const CacheStats cache_stats = cache_.stats();
-  const std::uint64_t hits = cache_stats.memory_hits + cache_stats.disk_hits;
-  const std::uint64_t lookups = hits + cache_stats.misses;
 
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "metrics");
+  JsonObject response = ok_response(ctx);
   // The snapshot taken before this request finished — "metrics" itself is
   // not yet in any counter (it records on return like every request).
   response.add("requests_total", snapshot.requests_total);
@@ -892,11 +862,9 @@ ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& requ
   response.add("uptime_seconds", snapshot.uptime_seconds);
   response.add("qps", snapshot.qps);
   response.add("qps_60s", snapshot.qps_60s);
-  response.add("cache_hits", hits);
+  response.add("cache_hits", cache_stats.hits());
   response.add("cache_misses", cache_stats.misses);
-  response.add("cache_hit_ratio",
-               lookups == 0 ? 0.0
-                            : static_cast<double>(hits) / static_cast<double>(lookups));
+  response.add("cache_hit_ratio", cache_stats.hit_ratio());
   response.add("latency_p50_seconds", snapshot.latency_p50_seconds);
   response.add("latency_p95_seconds", snapshot.latency_p95_seconds);
   response.add("latency_p99_seconds", snapshot.latency_p99_seconds);
@@ -909,38 +877,26 @@ ExperimentService::Reply ExperimentService::handle_metrics(const JsonValue& requ
   return {response.render_line(), false};
 }
 
-ExperimentService::Reply ExperimentService::handle_metrics_prom(const JsonValue& request,
+ExperimentService::Reply ExperimentService::handle_metrics_prom(const JsonValue& /*request*/,
                                                                 RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   // The exposition text rides the line-framed protocol as a JSON envelope:
   // "body" is the complete text-format payload (newlines escaped by the
   // renderer), "content_type" what an HTTP scraper would have been served.
   // vlcsa_client --request=metrics-prom unwraps and prints the body raw.
   const std::string body = render_prometheus_text(metrics_.snapshot(), cache_.stats());
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "metrics-prom");
+  JsonObject response = ok_response(ctx);
   response.add("content_type", "text/plain; version=0.0.4");
   response.add("body", body);
   return {response.render_line(), false};
 }
 
-ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& request,
+ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& /*request*/,
                                                          RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
   // Flip the service-level flag immediately (so even a stdio conversation
   // rejects later runs); the socket server sees Reply::drain and drives the
   // connection side — stop accepting, drain deadline, exit 0.
   begin_drain();
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "drain");
+  JsonObject response = ok_response(ctx);
   response.add("draining", true);
   response.add("active_runs", static_cast<std::uint64_t>(drain_.active_runs()));
   Reply reply{response.render_line(), false};
@@ -948,15 +904,9 @@ ExperimentService::Reply ExperimentService::handle_drain(const JsonValue& reques
   return reply;
 }
 
-ExperimentService::Reply ExperimentService::handle_shutdown(const JsonValue& request,
+ExperimentService::Reply ExperimentService::handle_shutdown(const JsonValue& /*request*/,
                                                             RequestContext& ctx) {
-  if (std::string error = check_fields(request, {"request", "trace", "trace_id", "origin"});
-      !error.empty()) {
-    return error_reply(ctx, error);
-  }
-  JsonObject response;
-  response.add("status", "ok");
-  response.add("request", "shutdown");
+  JsonObject response = ok_response(ctx);
   return {response.render_line(), true};
 }
 

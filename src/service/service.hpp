@@ -1,18 +1,11 @@
 #pragma once
 // Experiment service: the long-running front end over the experiment
 // registry (ROADMAP item 1).  One instance owns the two-tier result cache
-// and routes newline-delimited JSON requests:
-//
-//   {"request": "run", "experiment": NAME, "samples": N?, "seed": S?,
-//    "eval_path": "batched"|"scalar"?, "timeout_ms": T?}
-//   {"request": "run-batch", "runs": [RUNSPEC, ...], "timeout_ms": T?}
-//   {"request": "list", "prefix": P?}
-//   {"request": "describe", "experiment": NAME}
-//   {"request": "cache-stats"}
-//   {"request": "metrics"}
-//   {"request": "metrics-prom"}
-//   {"request": "drain"}
-//   {"request": "shutdown"}
+// and routes newline-delimited JSON requests over both experiment families
+// (error-rate and chain-profile): one object per line, named by its
+// "request" member.  The request table (request_table(), service.cpp)
+// declares each request's name, handler and fields once; DESIGN.md's field
+// reference is tested against it.
 //
 // Every request additionally accepts the observability envelope fields
 // "trace": true (echo the request's span tree in the reply — a traced
@@ -24,10 +17,11 @@
 // Trace data lives only in reply envelopes and log files — never inside a
 // cached result record, whose bytes stay a pure function of the run inputs.
 //
-// over both experiment families (error-rate and chain-profile).  Request
-// parsing is strict in the cli.hpp tradition: unknown request names, unknown
-// fields, wrong field types and malformed JSON are all errors — a typo'd
-// field must never silently run a different experiment.  Responses are
+// Request parsing is strict in the cli.hpp tradition: unknown request
+// names, unknown fields, wrong field types and malformed JSON are all
+// errors — a typo'd field must never silently run a different experiment.
+// Fields are checked against the table before the handler runs, so a typo
+// answers bad-request even from a draining daemon.  Responses are
 // single-line JSON objects with "status": "ok"|"error" (error responses
 // also carry a machine-readable "code"); a run response embeds the result
 // record verbatim, so the record bytes a client sees are exactly the bytes
@@ -48,7 +42,9 @@
 #include <cstdint>
 #include <future>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -103,10 +99,11 @@ class ExperimentService {
   [[nodiscard]] const std::string& log_error() const { return log_error_; }
 
   /// Graceful drain (idempotent): from here on, run/run-batch requests
-  /// answer a "draining"-coded error while observational requests (list,
-  /// metrics, cache-stats, ...) keep working so rotation scripts can watch
-  /// the drain converge.  The socket server drives the connection side
-  /// (stop accepting, drain deadline — server.hpp).
+  /// that pass the field check answer a "draining"-coded error while
+  /// observational requests (list, metrics, cache-stats, ...) keep working
+  /// so rotation scripts can watch the drain converge.  The socket server
+  /// drives the connection side (stop accepting, drain deadline —
+  /// server.hpp).
   void begin_drain();
   [[nodiscard]] bool draining() const { return drain_.draining(); }
   /// Runs currently inside run/run-batch handlers (drain progress).
@@ -115,14 +112,28 @@ class ExperimentService {
   /// cancelled runs answer "draining"-coded errors.
   void cancel_active_runs() { drain_.cancel_active_runs(); }
 
-  /// Every request name handle_line dispatches, in documentation order —
-  /// the list DESIGN.md's protocol reference is tested against
-  /// (tests/service/protocol_doc_test.cpp).
-  [[nodiscard]] static std::vector<std::string> request_names();
-
   struct RunSpec;         // one validated run request / batch element
   struct RunOutcome;      // what running one spec produced
   struct RequestContext;  // per-request observability state (spans, ids)
+
+  /// One row of the protocol's request table: the request name, its
+  /// handler, and the fields it accepts besides the envelope fields every
+  /// request takes.  handle_line finds the row, rejects any member neither
+  /// list names, then calls the handler.
+  struct RequestType {
+    std::string_view name;
+    Reply (ExperimentService::*handler)(const harness::JsonValue&, RequestContext&);
+    std::span<const std::string_view> fields;
+  };
+
+  /// The request table (service.cpp), in documentation order — the one
+  /// declaration of the protocol's request names and fields, which
+  /// DESIGN.md's protocol reference is tested against
+  /// (tests/service/protocol_doc_test.cpp).
+  [[nodiscard]] static std::span<const RequestType> request_table();
+
+  /// The request table's names, in table order.
+  [[nodiscard]] static std::vector<std::string> request_names();
 
  private:
   [[nodiscard]] Reply handle_run(const harness::JsonValue& request, RequestContext& ctx);
@@ -145,12 +156,9 @@ class ExperimentService {
   /// histograms, assigns a trace id, injects the trace echo into the reply
   /// envelope (never into the embedded record), and writes the trace and
   /// access log lines.  A single early-exit branch when nothing is enabled.
-  void finalize_request(RequestContext& ctx, const std::string& type, Reply& reply,
+  /// `type` is the request-table row (the metrics' type index).
+  void finalize_request(RequestContext& ctx, std::size_t type, Reply& reply,
                         double wall_seconds);
-
-  /// Resolves the effective deadline for a run/run-batch request:
-  /// request-level "timeout_ms" when given, else the config default.
-  [[nodiscard]] int effective_timeout_ms(const RunSpec& spec) const;
 
   ServiceConfig config_;
   ResultCache cache_;

@@ -20,19 +20,22 @@ std::uint64_t us_since(RequestTrace::Clock::time_point origin) {
 
 }  // namespace
 
+const char* stage_name(Stage stage) {
+  static constexpr const char* kNames[kStageCount] = {
+      "request",    "parse",        "cache-lookup", "coalesced-wait", "lease-wait",
+      "engine-run", "record-write", "render",       "element"};
+  return kNames[static_cast<std::size_t>(stage)];
+}
+
 void RequestTrace::enable() {
   if (enabled_) return;
   enabled_ = true;
   start_ = Clock::now();
 }
 
-std::size_t RequestTrace::open(const char* name) {
+std::size_t RequestTrace::open(Stage stage) {
   if (!enabled_) return 0;
-  TraceSpan span;
-  span.name = name;
-  span.depth = depth_++;
-  span.start_us = us_since(start_);
-  spans_.push_back(std::move(span));
+  spans_.push_back({stage, depth_++, us_since(start_), 0});
   // Handles are 1-based so a handle from a disabled open() (0) is inert.
   return spans_.size();
 }
@@ -50,7 +53,7 @@ std::string RequestTrace::render_spans() const {
     const TraceSpan& span = spans_[i];
     if (i != 0) out += ", ";
     harness::JsonObject object;
-    object.add("name", span.name);
+    object.add("name", stage_name(span.stage));
     object.add("depth", span.depth);
     object.add("start_us", span.start_us);
     object.add("dur_us", span.dur_us);

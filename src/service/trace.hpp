@@ -23,6 +23,25 @@
 
 namespace vlcsa::service {
 
+/// The stages a request trace records: the depth-0 `kRequest` root plus the
+/// fixed stage set under it.  The enumerator order is the order of the
+/// per-stage latency histograms in the "metrics-prom" exposition.
+enum class Stage : std::uint8_t {
+  kRequest,        // the whole request line (root span)
+  kParse,          // strict JSON parse of the line
+  kCacheLookup,    // memory/disk tier lookup
+  kCoalescedWait,  // single-flight follower waiting on the leader
+  kLeaseWait,      // parked behind another replica's compute lease
+  kEngineRun,      // the sharded engine computing a miss
+  kRecordWrite,    // storing the computed record
+  kRender,         // rendering the reply
+  kElement,        // one run-batch element
+};
+inline constexpr std::size_t kStageCount = static_cast<std::size_t>(Stage::kElement) + 1;
+
+/// A stage's span name, as rendered in span trees and the `stage` label.
+[[nodiscard]] const char* stage_name(Stage stage);
+
 /// One span of a request trace: [start_us, start_us + dur_us), microseconds
 /// relative to the request's arrival, nested by depth (the root "request"
 /// span is depth 0 and covers the whole line).  Both endpoints are floored
@@ -30,7 +49,7 @@ namespace vlcsa::service {
 /// always contained in its parent's — the span-tree invariant
 /// vlcsa_loadgen --trace-log validates.
 struct TraceSpan {
-  std::string name;
+  Stage stage = Stage::kRequest;
   int depth = 0;
   std::uint64_t start_us = 0;
   std::uint64_t dur_us = 0;
@@ -52,15 +71,14 @@ class RequestTrace {
 
   /// Opens a span, returning its handle (0 when disabled — close() ignores
   /// handles opened while disabled).
-  std::size_t open(const char* name);
+  std::size_t open(Stage stage);
   /// Closes the span `handle` opened by open().
   void close(std::size_t handle);
 
   /// RAII span for the common scoped case.
   class Scope {
    public:
-    Scope(RequestTrace& trace, const char* name)
-        : trace_(trace), handle_(trace.open(name)) {}
+    Scope(RequestTrace& trace, Stage stage) : trace_(trace), handle_(trace.open(stage)) {}
     ~Scope() { trace_.close(handle_); }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;

@@ -14,6 +14,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "harness/report.hpp"
 
@@ -160,6 +161,44 @@ TEST(JsonParser, WrongKindAccessorsThrow) {
   EXPECT_THROW((void)value.items(), std::logic_error);
   EXPECT_THROW((void)value.members(), std::logic_error);
   EXPECT_EQ(value.find("x"), nullptr);  // find is lenient: nullptr, not throw
+}
+
+TEST(JsonParser, RawTextReturnsEachValuesExactSourceBytes) {
+  // Nested objects and arrays, escaped quotes and braces inside strings,
+  // and irregular whitespace: raw_text is the value's bytes verbatim.
+  const std::string text =
+      R"( {"record": {"name": "a\"}b", "n": [1, {"x": "]"}],  "z":null},)"
+      R"( "list" : [ "q\\", 2.50e1 ,[]], "s": "\"quoted\"", "k": -0.0} )";
+  const JsonValue value = parse_ok(text);
+  EXPECT_EQ(value.raw_text(text), text.substr(1, text.size() - 2));
+  const JsonValue* record = value.find("record");
+  ASSERT_NE(record, nullptr);
+  EXPECT_EQ(record->raw_text(text), R"({"name": "a\"}b", "n": [1, {"x": "]"}],  "z":null})");
+  EXPECT_EQ(record->find("n")->raw_text(text), R"([1, {"x": "]"}])");
+  EXPECT_EQ(record->find("n")->items()[1].raw_text(text), R"({"x": "]"})");
+  EXPECT_EQ(record->find("z")->raw_text(text), "null");
+  const JsonValue* list = value.find("list");
+  EXPECT_EQ(list->raw_text(text), R"([ "q\\", 2.50e1 ,[]])");
+  EXPECT_EQ(list->items()[0].raw_text(text), R"("q\\")");
+  EXPECT_EQ(list->items()[1].raw_text(text), "2.50e1");
+  EXPECT_EQ(list->items()[2].raw_text(text), "[]");
+  EXPECT_EQ(value.find("s")->raw_text(text), R"("\"quoted\"")");
+  EXPECT_EQ(value.find("k")->raw_text(text), "-0.0");
+  // A value built without a source has no raw bytes.
+  EXPECT_EQ(JsonValue::make_string("x").raw_text(text), "");
+}
+
+TEST(JsonParser, FirstUnknownMemberChecksEveryAllowedList) {
+  constexpr std::string_view kEnvelope[] = {"request", "trace"};
+  constexpr std::string_view kFields[] = {"experiment"};
+  const JsonValue ok = parse_ok(R"({"trace": true, "experiment": "x", "request": "run"})");
+  EXPECT_EQ(first_unknown_member(ok, {kEnvelope, kFields}), nullptr);
+  const JsonValue typo = parse_ok(R"({"request": "run", "expriment": "x", "seed": 1})");
+  const std::string* unknown = first_unknown_member(typo, {kEnvelope, kFields});
+  ASSERT_NE(unknown, nullptr);
+  EXPECT_EQ(*unknown, "expriment");  // the first unknown member, in document order
+  EXPECT_EQ(first_unknown_member(parse_ok("{}"), {}), nullptr);
+  EXPECT_NE(first_unknown_member(parse_ok(R"({"request": 1})"), {kFields}), nullptr);
 }
 
 TEST(JsonParser, ParsesJsonObjectPrettyOutput) {

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "harness/json.hpp"
 #include "service/cache.hpp"
@@ -31,13 +35,20 @@ std::uint64_t u64_field(const JsonValue& object, const char* name) {
   return value;
 }
 
+/// The request-table row of `name` — the metrics' type index (the table's
+/// size, the "invalid" slot, for a name not in the table).
+std::size_t type_of(const std::string& name) {
+  const std::vector<std::string> names = ExperimentService::request_names();
+  return static_cast<std::size_t>(std::find(names.begin(), names.end(), name) - names.begin());
+}
+
 TEST(ServiceMetrics, QuantilesComeFromBucketUpperBounds) {
-  ServiceMetrics metrics;
+  ServiceMetrics metrics(ExperimentService::request_names());
   // 99 fast requests in the (500 us, 1 ms] bucket and one slow outlier in
   // the (100 ms, 200 ms] bucket: p50/p95 report 1 ms, p99 too (rank 99 of
   // 100 still lands in the fast bucket), and max is exact.
-  for (int i = 0; i < 99; ++i) metrics.record_request("list", true, 0.0008);
-  metrics.record_request("run", true, 0.150);
+  for (int i = 0; i < 99; ++i) metrics.record_request(type_of("list"), true, 0.0008);
+  metrics.record_request(type_of("run"), true, 0.150);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.latency_p50_seconds, 0.001);
   EXPECT_DOUBLE_EQ(snapshot.latency_p95_seconds, 0.001);
@@ -47,9 +58,9 @@ TEST(ServiceMetrics, QuantilesComeFromBucketUpperBounds) {
 }
 
 TEST(ServiceMetrics, TailQuantileReachesTheSlowBucket) {
-  ServiceMetrics metrics;
-  for (int i = 0; i < 90 ; ++i) metrics.record_request("list", true, 0.0008);
-  for (int i = 0; i < 10; ++i) metrics.record_request("run", true, 0.150);
+  ServiceMetrics metrics(ExperimentService::request_names());
+  for (int i = 0; i < 90 ; ++i) metrics.record_request(type_of("list"), true, 0.0008);
+  for (int i = 0; i < 10; ++i) metrics.record_request(type_of("run"), true, 0.150);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_DOUBLE_EQ(snapshot.latency_p50_seconds, 0.001);
   EXPECT_DOUBLE_EQ(snapshot.latency_p95_seconds, 0.2);  // (100 ms, 200 ms] bucket bound
@@ -57,12 +68,12 @@ TEST(ServiceMetrics, TailQuantileReachesTheSlowBucket) {
 }
 
 TEST(ServiceMetrics, CountsByTypeWithInvalidFallback) {
-  ServiceMetrics metrics;
-  metrics.record_request("run", true, 0.001);
-  metrics.record_request("run", false, 0.001);
-  metrics.record_request("list", true, 0.001);
-  metrics.record_request("invalid", false, 0.001);
-  metrics.record_request("never-heard-of-it", false, 0.001);  // folds into "invalid"
+  ServiceMetrics metrics(ExperimentService::request_names());
+  metrics.record_request(type_of("run"), true, 0.001);
+  metrics.record_request(type_of("run"), false, 0.001);
+  metrics.record_request(type_of("list"), true, 0.001);
+  metrics.record_request(type_of("invalid"), false, 0.001);
+  metrics.record_request(1000, false, 0.001);  // past the table: folds into "invalid"
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.requests_total, 5u);
   EXPECT_EQ(snapshot.ok_total, 2u);
@@ -79,7 +90,7 @@ TEST(ServiceMetrics, CountsByTypeWithInvalidFallback) {
 }
 
 TEST(ServiceMetrics, InFlightGaugeTracksScope) {
-  ServiceMetrics metrics;
+  ServiceMetrics metrics(ExperimentService::request_names());
   EXPECT_EQ(metrics.snapshot().in_flight, 0u);
   {
     const ServiceMetrics::InFlight guard(metrics);
@@ -93,7 +104,7 @@ TEST(ServiceMetrics, InFlightGaugeTracksScope) {
 }
 
 TEST(ServiceMetrics, DrainingGaugeFollowsSetDraining) {
-  ServiceMetrics metrics;
+  ServiceMetrics metrics(ExperimentService::request_names());
   EXPECT_EQ(metrics.snapshot().draining, 0u);
   metrics.set_draining(true);
   EXPECT_EQ(metrics.snapshot().draining, 1u);
@@ -101,16 +112,6 @@ TEST(ServiceMetrics, DrainingGaugeFollowsSetDraining) {
   EXPECT_NE(text.find("vlcsa_draining 1"), std::string::npos);
   metrics.set_draining(false);
   EXPECT_EQ(metrics.snapshot().draining, 0u);
-}
-
-TEST(ServiceMetrics, TypeListMatchesDispatchTablePlusInvalid) {
-  // request_types() must be exactly the dispatch table's names plus the
-  // "invalid" fallback slot, in order.
-  const auto& types = ServiceMetrics::request_types();
-  const auto names = ExperimentService::request_names();
-  ASSERT_EQ(types.size(), names.size() + 1);
-  for (std::size_t i = 0; i < names.size(); ++i) EXPECT_EQ(types[i], names[i]);
-  EXPECT_EQ(types.back(), "invalid");
 }
 
 TEST(MetricsRequest, CountersAcrossAScriptedSequence) {
@@ -172,12 +173,46 @@ TEST(MetricsRequest, BatchElementsAndStrictValidation) {
   EXPECT_EQ(u64_field(*parsed.value.find("requests_by_type"), "run-batch"), 1u);
 }
 
+TEST(MetricsRequest, CacheHitsMatchCacheStatsIncludingCoalescedHits) {
+  // One hit definition (CacheStats::hits): "metrics" and "cache-stats" count
+  // coalesced followers as hits, so both report one hit ratio and metrics
+  // hits + misses add up to the answered runs.
+  ExperimentService service({"", 16, 1});
+  // Long enough (~0.1 s) that the second request arrives while the first
+  // computes: whichever takes the single-flight latch second coalesces.
+  const char* slow = R"({"request": "run", "experiment": "fig7.1/n64-k6", "samples": 50000000})";
+  std::thread first([&service, slow] { EXPECT_TRUE(service.handle_line(slow).ok); });
+  while (service.metrics().snapshot().in_flight == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_TRUE(service.handle_line(slow).ok);
+  first.join();
+  EXPECT_TRUE(service.handle_line(slow).ok);  // memory hit
+
+  const auto reply_of = [&service](const char* line) {
+    harness::JsonParse parsed = parse_json(service.handle_line(line).line);
+    EXPECT_TRUE(parsed.ok());
+    return parsed.value;
+  };
+  const JsonValue stats = reply_of(R"({"request": "cache-stats"})");
+  const JsonValue metrics = reply_of(R"({"request": "metrics"})");
+  EXPECT_EQ(u64_field(stats, "coalesced_hits"), 1u);
+  EXPECT_EQ(u64_field(stats, "memory_hits"), 1u);
+  EXPECT_EQ(u64_field(stats, "misses"), 1u);
+  EXPECT_EQ(u64_field(metrics, "cache_hits"), 2u);
+  EXPECT_EQ(u64_field(metrics, "cache_hits") + u64_field(metrics, "cache_misses"), 3u);
+  EXPECT_DOUBLE_EQ(metrics.find("cache_hit_ratio")->as_double(),
+                   stats.find("hit_ratio")->as_double());
+  EXPECT_DOUBLE_EQ(metrics.find("cache_hit_ratio")->as_double(), 2.0 / 3.0);
+}
+
 TEST(ServiceMetrics, RecentQpsMatchesLifetimeQpsEarlyInUptime) {
   // With uptime under 60 s every recorded request is inside the ring's
   // window, so the windowed rate and the lifetime average are the same
   // number — the property that makes qps_60s trustworthy from first scrape.
-  ServiceMetrics metrics;
-  for (int i = 0; i < 50; ++i) metrics.record_request("list", true, 0.0001);
+  ServiceMetrics metrics(ExperimentService::request_names());
+  for (int i = 0; i < 50; ++i) metrics.record_request(type_of("list"), true, 0.0001);
   const MetricsSnapshot snapshot = metrics.snapshot();
   EXPECT_EQ(snapshot.requests_total, 50u);
   EXPECT_GT(snapshot.qps, 0.0);
@@ -185,11 +220,10 @@ TEST(ServiceMetrics, RecentQpsMatchesLifetimeQpsEarlyInUptime) {
 }
 
 TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
-  ServiceMetrics metrics;
-  metrics.record_stage("parse", 0.0000005);      // -> 1 us bucket
-  metrics.record_stage("parse", 0.0008);         // -> 1 ms bucket
-  metrics.record_stage("engine-run", 0.050);
-  metrics.record_stage("not-a-stage", 1.0);      // ignored: fixed label set
+  ServiceMetrics metrics(ExperimentService::request_names());
+  metrics.record_stage(Stage::kParse, 0.0000005);  // -> 1 us bucket
+  metrics.record_stage(Stage::kParse, 0.0008);     // -> 1 ms bucket
+  metrics.record_stage(Stage::kEngineRun, 0.050);
 
   const MetricsSnapshot snapshot = metrics.snapshot();
   ASSERT_EQ(snapshot.stages.size(), ServiceMetrics::stage_names().size());
@@ -206,17 +240,17 @@ TEST(ServiceMetrics, StageHistogramsTrackRecordedSpans) {
   const StageLatency* engine = find_stage("engine-run");
   ASSERT_NE(engine, nullptr);
   EXPECT_EQ(engine->count, 1u);
-  EXPECT_EQ(find_stage("not-a-stage"), nullptr);
+  EXPECT_EQ(find_stage("request"), nullptr);  // the root is the request histogram
   std::uint64_t bucketed = 0;
   for (const std::uint64_t count : parse->buckets) bucketed += count;
   EXPECT_EQ(bucketed, 2u);
 }
 
 TEST(ServiceMetrics, PrometheusExpositionIsWellFormed) {
-  ServiceMetrics metrics;
-  metrics.record_request("run", true, 0.002);
-  metrics.record_request("list", false, 0.0001);
-  metrics.record_stage("parse", 0.00005);
+  ServiceMetrics metrics(ExperimentService::request_names());
+  metrics.record_request(type_of("run"), true, 0.002);
+  metrics.record_request(type_of("list"), false, 0.0001);
+  metrics.record_stage(Stage::kParse, 0.00005);
   CacheStats cache;
   cache.memory_hits = 3;
   cache.disk_hits = 1;
@@ -301,7 +335,7 @@ TEST(MetricsRequest, PromRequestWrapsTheExpositionInAnEnvelope) {
 }
 
 TEST(ServiceMetrics, SweepCountersAccumulateCellsPerRequest) {
-  ServiceMetrics metrics;
+  ServiceMetrics metrics(ExperimentService::request_names());
   EXPECT_EQ(metrics.snapshot().sweep_requests, 0u);
   EXPECT_EQ(metrics.snapshot().sweep_cells, 0u);
   metrics.record_sweep_request(2);

@@ -1,29 +1,59 @@
 // Documentation contract for the service protocol: DESIGN.md's protocol
-// reference must list exactly the request types ExperimentService actually
-// dispatches.  The canonical line in DESIGN.md looks like
+// reference must describe exactly the request table ExperimentService
+// dispatches from.  The canonical line in DESIGN.md looks like
 //
 //   Requests: `run`, `run-batch`, ... `shutdown`.
 //
 // and this test diffs its backticked names against
 // ExperimentService::request_names() both ways, so adding a request without
-// documenting it (or documenting one that does not exist) fails CI.
+// documenting it (or documenting one that does not exist) fails CI.  Each
+// request's `### \`name\`` field table is diffed against that row's fields,
+// and every Prometheus metric family and trace stage name must be named.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "service/metrics.hpp"
 #include "service/service.hpp"
+#include "service/trace.hpp"
 
 namespace vlcsa::service {
 namespace {
 
 std::filesystem::path design_md_path() {
   return std::filesystem::path(__FILE__).parent_path() / ".." / ".." / "DESIGN.md";
+}
+
+std::string design_md() {
+  std::ifstream in(design_md_path());
+  EXPECT_TRUE(in.is_open()) << "cannot open " << design_md_path();
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+/// The fields a `### \`name\`` section's table documents: the backticked
+/// first cell of each `| \`field\` | ...` row up to the next heading, minus
+/// the `request` envelope field (a section with no table documents none).
+std::set<std::string> documented_fields(const std::string& contents, const std::string& name) {
+  std::set<std::string> fields;
+  const std::size_t heading = contents.find("### `" + name + "`");
+  if (heading == std::string::npos) return fields;
+  const std::size_t end = contents.find("\n#", heading + 1);
+  std::istringstream section(contents.substr(heading, end - heading));
+  std::string line;
+  while (std::getline(section, line)) {
+    if (line.rfind("| `", 0) != 0) continue;
+    const std::string field = line.substr(3, line.find('`', 3) - 3);
+    if (field != "request") fields.insert(field);
+  }
+  return fields;
 }
 
 /// The backticked names on the first line of DESIGN.md starting "Requests:".
@@ -55,7 +85,7 @@ TEST(ProtocolDoc, DesignMdListsExactlyTheDispatchedRequests) {
   const std::set<std::string> documented_set(documented.begin(), documented.end());
   const std::set<std::string> dispatched_set(dispatched.begin(), dispatched.end());
   EXPECT_EQ(documented_set, dispatched_set)
-      << "DESIGN.md's request list and ExperimentService's dispatch table differ";
+      << "DESIGN.md's request list and ExperimentService's request table differ";
   // No duplicates in the documentation line either.
   EXPECT_EQ(documented.size(), documented_set.size());
 }
@@ -70,6 +100,38 @@ TEST(ProtocolDoc, EveryDispatchedRequestHasAFieldTableHeading) {
   for (const std::string& name : ExperimentService::request_names()) {
     EXPECT_NE(contents.find("### `" + name + "`"), std::string::npos)
         << "DESIGN.md lacks a '### `" << name << "`' protocol subsection";
+  }
+}
+
+TEST(ProtocolDoc, EachRequestSectionTablesExactlyItsFields) {
+  const std::string contents = design_md();
+  for (const ExperimentService::RequestType& row : ExperimentService::request_table()) {
+    const std::string name(row.name);
+    const std::set<std::string> fields(row.fields.begin(), row.fields.end());
+    EXPECT_EQ(documented_fields(contents, name), fields)
+        << "DESIGN.md's '### `" << name << "`' field table and the request table differ";
+  }
+}
+
+TEST(ProtocolDoc, EveryMetricFamilyAndStageIsDocumented) {
+  const std::string contents = design_md();
+  const ServiceMetrics metrics(ExperimentService::request_names());
+  std::istringstream exposition(render_prometheus_text(metrics.snapshot(), CacheStats{}));
+  std::string line;
+  std::size_t families = 0;
+  while (std::getline(exposition, line)) {
+    if (line.rfind("# TYPE ", 0) != 0) continue;
+    const std::string family = line.substr(7, line.find(' ', 7) - 7);
+    ++families;
+    EXPECT_TRUE(contents.find("`" + family + "`") != std::string::npos ||
+                contents.find("`" + family + "{") != std::string::npos)
+        << "DESIGN.md's metrics-prom reference lacks `" << family << "`";
+  }
+  EXPECT_GT(families, 0u);
+  for (std::size_t i = 0; i < kStageCount; ++i) {
+    const std::string stage = stage_name(static_cast<Stage>(i));
+    EXPECT_NE(contents.find("`" + stage + "`"), std::string::npos)
+        << "DESIGN.md does not name the `" << stage << "` trace stage";
   }
 }
 

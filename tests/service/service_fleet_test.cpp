@@ -127,6 +127,23 @@ TEST(ServiceDrain, DrainRequestIsStrictAboutFields) {
   EXPECT_FALSE(service.draining());
 }
 
+TEST(ServiceDrain, UnknownFieldAnswersBadRequestNotDraining) {
+  // Fields are checked against the request table before any handler runs,
+  // so a typo'd run/run-batch is a bad request even on a draining daemon:
+  // it would fail on every replica, so inviting a retry elsewhere is wrong.
+  ExperimentService service({"", 64, 1});
+  service.begin_drain();
+  for (const char* line :
+       {R"({"request": "run", "experiment": "fig7.1/n64-k6", "samles": 2000})",
+        R"({"request": "run-batch", "runs": [], "timeout": 5})"}) {
+    const JsonValue response = parse_reply(service.handle_line(line));
+    EXPECT_EQ(field(response, "code"), "bad-request") << line;
+    EXPECT_NE(field(response, "error").find("unknown field"), std::string::npos) << line;
+  }
+  // A well-formed run still answers draining.
+  EXPECT_EQ(field(parse_reply(service.handle_line(kErrorRateRun)), "code"), "draining");
+}
+
 TEST(ServiceDrain, StdioConversationEndsAtDrain) {
   ExperimentService service({"", 64, 1});
   std::istringstream in(

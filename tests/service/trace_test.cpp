@@ -58,10 +58,10 @@ std::string field(const JsonValue& object, const char* name) {
 TEST(RequestTrace, DisabledCollectorIsANoOp) {
   RequestTrace trace;
   EXPECT_FALSE(trace.enabled());
-  EXPECT_EQ(trace.open("parse"), 0u);
+  EXPECT_EQ(trace.open(Stage::kParse), 0u);
   trace.close(0);  // handle from a disabled open must be ignored
   {
-    const RequestTrace::Scope scope(trace, "render");
+    const RequestTrace::Scope scope(trace, Stage::kRender);
   }
   EXPECT_TRUE(trace.spans().empty());
   EXPECT_EQ(trace.render_spans(), "[]");
@@ -70,26 +70,26 @@ TEST(RequestTrace, DisabledCollectorIsANoOp) {
 TEST(RequestTrace, SpansNestWithDepthOrderingAndContainment) {
   RequestTrace trace;
   trace.enable();
-  const std::size_t root = trace.open("request");
+  const std::size_t root = trace.open(Stage::kRequest);
   {
-    const RequestTrace::Scope parse(trace, "parse");
+    const RequestTrace::Scope parse(trace, Stage::kParse);
   }
   {
-    const RequestTrace::Scope run(trace, "engine-run");
-    const RequestTrace::Scope inner(trace, "render");
+    const RequestTrace::Scope run(trace, Stage::kEngineRun);
+    const RequestTrace::Scope inner(trace, Stage::kRender);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   trace.close(root);
 
   const std::vector<TraceSpan>& spans = trace.spans();
   ASSERT_EQ(spans.size(), 4u);
-  EXPECT_EQ(spans[0].name, "request");
+  EXPECT_EQ(spans[0].stage, Stage::kRequest);
   EXPECT_EQ(spans[0].depth, 0);
-  EXPECT_EQ(spans[1].name, "parse");
+  EXPECT_EQ(spans[1].stage, Stage::kParse);
   EXPECT_EQ(spans[1].depth, 1);
-  EXPECT_EQ(spans[2].name, "engine-run");
+  EXPECT_EQ(spans[2].stage, Stage::kEngineRun);
   EXPECT_EQ(spans[2].depth, 1);
-  EXPECT_EQ(spans[3].name, "render");
+  EXPECT_EQ(spans[3].stage, Stage::kRender);
   EXPECT_EQ(spans[3].depth, 2);
 
   // Spans appear in open order; siblings do not overlap.
@@ -100,18 +100,18 @@ TEST(RequestTrace, SpansNestWithDepthOrderingAndContainment) {
   // validator leans on.
   for (std::size_t i = 1; i < spans.size(); ++i) {
     const TraceSpan& parent = spans[i].depth == 1 ? spans[0] : spans[i - 1];
-    EXPECT_GE(spans[i].start_us, parent.start_us) << spans[i].name;
+    EXPECT_GE(spans[i].start_us, parent.start_us) << stage_name(spans[i].stage);
     EXPECT_LE(spans[i].start_us + spans[i].dur_us, parent.start_us + parent.dur_us)
-        << spans[i].name;
+        << stage_name(spans[i].stage);
   }
 }
 
 TEST(RequestTrace, RenderSpansParsesStrictly) {
   RequestTrace trace;
   trace.enable();
-  const std::size_t root = trace.open("request");
+  const std::size_t root = trace.open(Stage::kRequest);
   {
-    const RequestTrace::Scope parse(trace, "parse");
+    const RequestTrace::Scope parse(trace, Stage::kParse);
   }
   trace.close(root);
 
