@@ -142,12 +142,14 @@ class BackendScope {
 };
 
 // The two plane sweeps on uniform operand planes.  Args: (n, lane_words,
-// 0 = scalar backend / 1 = auto-dispatched best); the VLSA chain is the
-// published l for n, the SCSA window the 1e-4 sizing.
+// 0 = scalar backend / 1 = auto-dispatched best, stored planes); the VLSA
+// chain is the published l for n, the SCSA window the 1e-4 sizing.  The
+// 512/8/1/64 rows are the Gaussian shape: 64 stored planes and a folded tail.
 void BM_PlaneWindowSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
   const BackendScope scope(state.range(2) != 0);
+  const int stored = static_cast<int>(state.range(3));
   const spec::WindowLayout layout(n, spec::min_window_for_error_rate(n, 1e-4));
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   vlcsa::arith::BlockRng rng(7);
@@ -156,7 +158,7 @@ void BM_PlaneWindowSweep(benchmark::State& state) {
   for (auto& word : b) word = rng();
   planeops::PlaneVec s0(lw), s1(lw), e0(lw), e1(lw);
   for (auto _ : state) {
-    planeops::window_sweep(a.data(), b.data(), n, lane_words, layout.window(0).size,
+    planeops::window_sweep(a.data(), b.data(), n, stored, lane_words, layout.window(0).size,
                            std::min(layout.window_size(), n), s0.data(), s1.data(), e0.data(),
                            e1.data());
     benchmark::DoNotOptimize(s0.data());
@@ -165,12 +167,14 @@ void BM_PlaneWindowSweep(benchmark::State& state) {
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_PlaneWindowSweep)
-    ->Args({64, 8, 0})->Args({64, 8, 1})->Args({512, 8, 0})->Args({512, 8, 1});
+    ->Args({64, 8, 0, 64})->Args({64, 8, 1, 64})->Args({512, 8, 0, 512})
+    ->Args({512, 8, 1, 512})->Args({512, 8, 1, 64});
 
 void BM_PlaneRunSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
   const BackendScope scope(state.range(2) != 0);
+  const int stored = static_cast<int>(state.range(3));
   const int chain = spec::vlsa_published_chain_length(n);
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   vlcsa::arith::BlockRng rng(8);
@@ -179,15 +183,16 @@ void BM_PlaneRunSweep(benchmark::State& state) {
   for (auto& word : b) word = rng();
   planeops::PlaneVec spec_wrong(lw), err(lw), scratch(static_cast<std::size_t>(chain) * lw);
   for (auto _ : state) {
-    planeops::run_sweep(a.data(), b.data(), n, lane_words, chain, spec_wrong.data(), err.data(),
-                        scratch.data());
+    planeops::run_sweep(a.data(), b.data(), n, stored, lane_words, chain, spec_wrong.data(),
+                        err.data(), scratch.data());
     benchmark::DoNotOptimize(spec_wrong.data());
   }
   state.SetItemsProcessed(state.iterations() * 64 * lane_words);
   state.SetLabel(to_string(planeops::active_backend()));
 }
 BENCHMARK(BM_PlaneRunSweep)
-    ->Args({64, 8, 0})->Args({64, 8, 1})->Args({512, 8, 0})->Args({512, 8, 1});
+    ->Args({64, 8, 0, 64})->Args({64, 8, 1, 64})->Args({512, 8, 0, 512})
+    ->Args({512, 8, 1, 512})->Args({512, 8, 1, 64});
 
 void BM_PlaneTranspose64x64(benchmark::State& state) {
   const BackendScope scope(state.range(0) != 0);

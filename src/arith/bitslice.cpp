@@ -79,8 +79,16 @@ std::size_t checked_plane_words(int width, int lane_words) {
 BitSlicedBatch::BitSlicedBatch(int width, int lane_words)
     : width_(width),
       lane_words_(lane_words),
+      stored_planes_(width),
       a_(checked_plane_words(width, lane_words), 0),
       b_(a_.size(), 0) {}
+
+void BitSlicedBatch::set_stored_planes(int stored) {
+  if (stored < 1 || stored > width_) {
+    throw std::invalid_argument("BitSlicedBatch: stored planes must be in [1, width]");
+  }
+  stored_planes_ = stored;
+}
 
 void BitSlicedBatch::load(const std::vector<ApInt>& a, const std::vector<ApInt>& b) {
   if (a.size() != b.size()) {
@@ -90,6 +98,7 @@ void BitSlicedBatch::load(const std::vector<ApInt>& a, const std::vector<ApInt>&
     throw std::invalid_argument("BitSlicedBatch::load: more samples than lanes");
   }
   const int count = static_cast<int>(a.size());
+  stored_planes_ = width_;
   for (int w = 0; w < lane_words_; ++w) {
     const int begin = std::min(w * kBatchLanes, count);
     const int group = std::min(count - begin, kBatchLanes);
@@ -99,8 +108,8 @@ void BitSlicedBatch::load(const std::vector<ApInt>& a, const std::vector<ApInt>&
 }
 
 std::pair<ApInt, ApInt> BitSlicedBatch::lane(int lane) const {
-  return {plane_lane(a_.data(), width_, lane, lane_words_),
-          plane_lane(b_.data(), width_, lane, lane_words_)};
+  return {plane_lane(a_.data(), stored_planes_, lane, lane_words_).sext(width_),
+          plane_lane(b_.data(), stored_planes_, lane, lane_words_).sext(width_)};
 }
 
 }  // namespace vlcsa::arith

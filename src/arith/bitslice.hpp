@@ -20,6 +20,15 @@
 //    ...                                      column = one plane group
 //  sample 64*W-1 [ .    .              .   ]           (lane_words words)
 //
+// Sign-extension tail: a batch stores its first stored_planes() = h plane
+// groups, and every plane group at or above h repeats group h - 1.  Sources
+// whose operands carry at most 64 significant bits fill only those: a
+// two's-complement Gaussian batch stores h = 64 (plane 63 is the sign), an
+// unsigned one h = 65 (plane 64 is zero).  Every other fill stores h = n.
+// Storage stays n groups; the words above h are left as they were and no
+// reader touches them: the plane sweeps fold the tail in closed form
+// (planeops.hpp) and lane() sign-extends from plane h - 1.
+//
 // The row<->column conversion is the classic 64x64 bit-matrix transpose
 // (6 log-steps per block), shared with the netlist-simulator test harness.
 // Plane storage is 64-byte aligned (planeops::PlaneVec) so the SIMD
@@ -92,16 +101,26 @@ class BitSlicedBatch {
   [[nodiscard]] std::uint64_t* a() { return a_.data(); }
   [[nodiscard]] std::uint64_t* b() { return b_.data(); }
 
+  /// Plane groups holding data: planes >= stored_planes() repeat plane
+  /// stored_planes() - 1.  In [1, width()]; width() after construction.
+  [[nodiscard]] int stored_planes() const { return stored_planes_; }
+  /// Declares how many plane groups the last fill wrote (the tail rule
+  /// above).  Throws when `stored` is outside [1, width()].
+  void set_stored_planes(int stored);
+
   /// Loads operand pairs row-wise (sample j = (a[j], b[j])); pairs beyond
   /// `count` are zero.  Both vectors must have the same size <= lanes().
+  /// Stores every plane.
   void load(const std::vector<ApInt>& a, const std::vector<ApInt>& b);
 
-  /// Sample `lane` reconstructed as an ApInt pair (tests/diagnostics).
+  /// Sample `lane` reconstructed as an ApInt pair, read through the tail
+  /// (tests/diagnostics).
   [[nodiscard]] std::pair<ApInt, ApInt> lane(int lane) const;
 
  private:
   int width_;
   int lane_words_;
+  int stored_planes_;
   planeops::PlaneVec a_;  // a_[bit * lane_words + w] = plane word w of bit `bit`
   planeops::PlaneVec b_;
 };

@@ -13,6 +13,7 @@ void OperandSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
   }
   // One 64-sample group per lane word, in sample order, so the RNG stream is
   // exactly out.lanes() next() calls.
+  out.set_stored_planes(width());
   ApInt a[kBatchLanes], b[kBatchLanes];
   for (int w = 0; w < out.lane_words(); ++w) {
     for (int j = 0; j < kBatchLanes; ++j) {
@@ -74,6 +75,7 @@ void UniformUnsignedSource::fill_batch(BlockRng& rng, BitSlicedBatch& out) {
     throw std::invalid_argument("UniformUnsignedSource::fill_batch: batch width mismatch");
   }
   column_lane_ = kBatchLanes;  // the stream contract's discard rule
+  out.set_stored_planes(width());
   const int n = width();
   const int lane_words = out.lane_words();
   const std::size_t op_words = static_cast<std::size_t>(kBlockLaneWords) * n;
@@ -121,9 +123,10 @@ namespace {
 // next(): per lane word, 128 variates a0 b0 a1 b1 ... from the shared block
 // sampler (so the RNG stream is exactly next()'s), then per operand the
 // kernel pipeline encode (every other variate) -> 64x64 transpose -> copy
-// into its planes.  Samples carry at most 64 bits, so every bit-plane >= 64
-// repeats one run of lane_words words per operand: plane 63, the sign, for
-// two's complement, and zero for unsigned.
+// into its planes.  Samples carry at most 64 bits, so the batch stores at
+// most 64 planes for two's complement (plane 63 is the sign the tail
+// repeats) and 65 for unsigned (plane 64 is zero); the planes above are not
+// written (bitslice.hpp).
 void fill_gaussian_batch(bool twos, const GaussianParams& params, GaussianBlockSampler& sampler,
                          BlockRng& rng, BitSlicedBatch& out) {
   const int n = out.width();
@@ -140,22 +143,13 @@ void fill_gaussian_batch(bool twos, const GaussianParams& params, GaussianBlockS
       block_to_planes(rows, 0, n, planes[op], lane_words, w);
     }
   }
-  if (n <= 64) return;
-  const std::size_t run = static_cast<std::size_t>(lane_words);
-  const std::size_t high_words = static_cast<std::size_t>(n - 64) * run;
-  for (std::uint64_t* op_planes : planes) {
-    std::uint64_t* high = op_planes + 64 * run;
-    if (!twos) {
-      std::fill_n(high, high_words, 0);
-      continue;
-    }
-    // Doubling copies from plane 63 on: log2(n - 63) contiguous copies.
-    std::uint64_t* sign = high - run;
-    const std::size_t total = run + high_words;
-    for (std::size_t done = run; done < total; done *= 2) {
-      std::copy_n(sign, std::min(done, total - done), sign + done);
+  const int stored = std::min(n, twos ? 64 : 65);
+  if (stored == 65) {
+    for (std::uint64_t* op_planes : planes) {
+      std::fill_n(op_planes + 64 * lane_words, lane_words, 0);
     }
   }
+  out.set_stored_planes(stored);
 }
 
 // Draws a (a, b) variate pair and encodes it as raw words, like one lane of

@@ -43,8 +43,10 @@ class OperandSource {
   /// bit-identical to the scalar one at every lane width and thread count.
   /// A source whose next() serves a 64-sample column at a time
   /// (UniformUnsignedSource) adds one rule: a fill_batch() that follows a
-  /// partly consumed next() column discards the rest of that column.  The
-  /// default implementation calls next() lanes() times.
+  /// partly consumed next() column discards the rest of that column.  Each
+  /// fill sets out.stored_planes(): the lanes are the samples read through
+  /// the tail (BitSlicedBatch::lane).  The default implementation calls
+  /// next() lanes() times and stores every plane.
   virtual void fill_batch(BlockRng& rng, BitSlicedBatch& out);
 
   /// Fresh source of the same distribution with pristine stream state (any
@@ -131,8 +133,9 @@ class GaussianUnsignedSource final : public OperandSource {
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
   /// Fast path: bulk ziggurat variates through the planeops encode and
   /// transpose kernels — samples are at most 64 bits of magnitude, so only
-  /// the limb-0 block is transposed and every higher bit-plane is zeroed
-  /// once per batch.
+  /// the limb-0 block is transposed, and above n = 64 the batch stores one
+  /// zero plane 64 that the unwritten planes repeat (stored_planes() =
+  /// min(n, 65)).
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianUnsignedSource>(width(), params_);
@@ -153,10 +156,10 @@ class GaussianTwosSource final : public OperandSource {
       : OperandSource(width), params_(params) {}
   [[nodiscard]] std::string name() const override { return "gaussian-twos-complement"; }
   std::pair<ApInt, ApInt> next(BlockRng& rng) override;
-  /// Fast path: the same shared fill as GaussianUnsignedSource::fill_batch,
-  /// plus sign extension — every bit-plane above limb 0 repeats plane 63,
-  /// the lane-wise sign mask, copied once per batch with no extra
-  /// transposes.
+  /// Fast path: the same shared fill as GaussianUnsignedSource::fill_batch;
+  /// sign extension costs nothing — the batch stores the limb-0 planes only
+  /// (stored_planes() = min(n, 64)), and every plane above repeats plane 63,
+  /// the lane-wise sign mask.
   void fill_batch(BlockRng& rng, BitSlicedBatch& out) override;
   [[nodiscard]] std::unique_ptr<OperandSource> clone() const override {
     return std::make_unique<GaussianTwosSource>(width(), params_);

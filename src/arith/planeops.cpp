@@ -34,22 +34,46 @@ std::uint64_t popcount_scalar(const std::uint64_t* x, std::size_t m) {
   return sum;
 }
 
+// The tail rules the sweep bodies share (planeops.hpp).  A window at `pos`
+// of `size` bits reads its stored planes, or plane stored - 1 once when it
+// lies wholly above them; the bodies step their plane pointers through the
+// stored planes and point them back at plane stored - 1 for such windows.
+inline int window_reads(int pos, int size, int stored) {
+  return pos < stored ? std::min(size, stored - pos) : 1;
+}
+
+// True after window i at `pos` when window i - 1 lay wholly at or above plane
+// stored - 1 and i >= 2 (window 1's S*,1 select is its own): every later
+// window repeats window i's fold.
+inline bool window_tail_done(int i, int pos, int k, int stored) {
+  return i >= 2 && pos - k >= stored - 1;
+}
+
+// Bits the run sweep walks: from bit stored - 2 + chain on, runs(j) = P and
+// the carry is constant, so the last of them stands for the rest.
+inline int run_bits(int n, int stored, int chain) { return std::min(n, stored - 1 + chain); }
+
 // The scalar sweeps walk lane-word columns col .. lane_words - 1 one at a
 // time, every signal in a register.  The SIMD bodies hand them the columns
 // left over after their last whole vector.
 
-void window_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
-                   int first, int k, int col, std::uint64_t* spec0_wrong,
+void window_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+                   int lane_words, int first, int k, int col, std::uint64_t* spec0_wrong,
                    std::uint64_t* spec1_wrong, std::uint64_t* err0, std::uint64_t* err1) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   for (std::size_t w = static_cast<std::size_t>(col); w < lw; ++w) {
     const std::uint64_t* pa = a + w;
     const std::uint64_t* pb = b + w;
     std::uint64_t prev_g = 0, prev_p = 0, carry = 0, s0 = 0, s1 = 0, e0 = 0, e1 = 0;
-    int pos = 0;
-    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+    for (int i = 0, pos = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      if (pos >= stored) {
+        pa = a + last + w;
+        pb = b + last + w;
+      }
       std::uint64_t g = 0, p = ~std::uint64_t{0};
-      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+      const int reads = window_reads(pos, size, stored);
+      for (int bit = 0; bit < reads; ++bit, pa += lw, pb += lw) {
         g = (*pa & *pb) | ((*pa | *pb) & g);  // maj(a, b, g)
         p &= *pa ^ *pb;
       }
@@ -63,6 +87,7 @@ void window_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int la
       carry = g | (p & carry);
       prev_g = g;
       prev_p = p;
+      if (window_tail_done(i, pos, k, stored)) break;
     }
     spec0_wrong[w] = s0;
     spec1_wrong[w] = s1;
@@ -79,29 +104,43 @@ void window_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int la
 // is read once at offset t, then overwritten with this block's propagate
 // word, and at the block end one backward pass turns those words into the
 // next block's suffixes.  Before block 0 every suffix but the empty one is
-// 0, so windows that would reach below bit 0 are never runs.
-void run_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
-                int chain, int col, std::uint64_t* spec_wrong, std::uint64_t* err,
-                std::uint64_t* suffix) {
+// 0, so windows that would reach below bit 0 are never runs.  A block's
+// bits at or above `stored` (the tail) all read plane stored - 1.
+//
+// run_bit is one bit on plane words x, y: the carry out of the bit, the
+// block's running prefix AND and the run folds; `slot` holds the suffix AND
+// for this offset and takes this bit's propagate word.
+inline void run_bit(std::uint64_t x, std::uint64_t y, std::uint64_t& slot, std::uint64_t& carry,
+                    std::uint64_t& prefix, std::uint64_t& sw, std::uint64_t& e) {
+  const std::uint64_t p = x ^ y;
+  carry = (x & y) | (p & carry);  // carry out of this bit
+  prefix &= p;
+  const std::uint64_t runs = slot & prefix;
+  slot = p;
+  sw |= runs & carry;
+  e |= runs;
+}
+
+void run_scalar(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+                int lane_words, int chain, int col, std::uint64_t* spec_wrong,
+                std::uint64_t* err, std::uint64_t* suffix) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const int bits = run_bits(n, stored, chain);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   for (std::size_t w = static_cast<std::size_t>(col); w < lw; ++w) {
     for (int t = 0; t < chain; ++t) suffix[t] = t == chain - 1 ? ~std::uint64_t{0} : 0;
     const std::uint64_t* pa = a + w;
     const std::uint64_t* pb = b + w;
+    const std::uint64_t tail_a = a[last + w], tail_b = b[last + w];
     std::uint64_t carry = 0, sw = 0, e = 0;
-    for (int base = 0; base < n; base += chain) {
-      const int len = std::min(chain, n - base);
+    for (int base = 0; base < bits; base += chain) {
+      const int len = std::min(chain, bits - base);
+      const int fresh = std::clamp(stored - base, 0, len);
       std::uint64_t prefix = ~std::uint64_t{0};
-      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
-        const std::uint64_t p = *pa ^ *pb;
-        carry = (*pa & *pb) | (p & carry);  // carry out of this bit
-        prefix &= p;
-        const std::uint64_t runs = suffix[t] & prefix;
-        suffix[t] = p;
-        sw |= runs & carry;
-        e |= runs;
-      }
-      if (base + chain < n) {
+      int t = 0;
+      for (; t < fresh; ++t, pa += lw, pb += lw) run_bit(*pa, *pb, suffix[t], carry, prefix, sw, e);
+      for (; t < len; ++t) run_bit(tail_a, tail_b, suffix[t], carry, prefix, sw, e);
+      if (base + chain < bits) {
         std::uint64_t acc = ~std::uint64_t{0};
         for (int t = chain - 1; t >= 0; --t) {
           const std::uint64_t p = suffix[t];
@@ -200,21 +239,26 @@ __attribute__((target("avx2,popcnt"))) std::uint64_t popcount_avx2(const std::ui
 // with the same algebra and block scheme as the scalar bodies, which finish
 // the leftover columns.  The AVX-512 bodies hand their leftovers to these.
 __attribute__((target("avx2"))) void window_avx2(
-    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int first, int k,
-    int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong, std::uint64_t* err0,
-    std::uint64_t* err1) {
+    const std::uint64_t* a, const std::uint64_t* b, int n, int stored, int lane_words,
+    int first, int k, int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
+    std::uint64_t* err0, std::uint64_t* err1) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   const __m256i zero = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi64x(-1);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   for (; col + 4 <= lane_words; col += 4) {
     const std::uint64_t* pa = a + col;
     const std::uint64_t* pb = b + col;
     __m256i prev_g = zero, prev_p = zero, carry = zero, s0 = zero, s1 = zero, e0 = zero,
             e1 = zero;
-    int pos = 0;
-    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+    for (int i = 0, pos = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      if (pos >= stored) {
+        pa = a + last + col;
+        pb = b + last + col;
+      }
       __m256i g = zero, p = ones;
-      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+      const int reads = window_reads(pos, size, stored);
+      for (int bit = 0; bit < reads; ++bit, pa += lw, pb += lw) {
         const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
         const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
         g = _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(_mm256_or_si256(x, y), g));
@@ -231,20 +275,36 @@ __attribute__((target("avx2"))) void window_avx2(
       carry = _mm256_or_si256(g, _mm256_and_si256(p, carry));
       prev_g = g;
       prev_p = p;
+      if (window_tail_done(i, pos, k, stored)) break;
     }
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec0_wrong + col), s0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec1_wrong + col), s1);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(err0 + col), e0);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(err1 + col), e1);
   }
-  window_scalar(a, b, n, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0, err1);
+  window_scalar(a, b, n, stored, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0,
+                err1);
+}
+
+__attribute__((target("avx2"), always_inline)) inline void run_bit_avx2(
+    __m256i x, __m256i y, __m256i* slot, __m256i& carry, __m256i& prefix, __m256i& sw,
+    __m256i& e) {
+  const __m256i p = _mm256_xor_si256(x, y);
+  carry = _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(p, carry));
+  prefix = _mm256_and_si256(prefix, p);
+  const __m256i runs = _mm256_and_si256(_mm256_loadu_si256(slot), prefix);
+  _mm256_storeu_si256(slot, p);
+  sw = _mm256_or_si256(sw, _mm256_and_si256(runs, carry));
+  e = _mm256_or_si256(e, runs);
 }
 
 __attribute__((target("avx2"))) void run_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                              int n, int lane_words, int chain, int col,
-                                              std::uint64_t* spec_wrong, std::uint64_t* err,
-                                              std::uint64_t* scratch) {
+                                              int n, int stored, int lane_words, int chain,
+                                              int col, std::uint64_t* spec_wrong,
+                                              std::uint64_t* err, std::uint64_t* scratch) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const int bits = run_bits(n, stored, chain);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   const __m256i zero = _mm256_setzero_si256();
   const __m256i ones = _mm256_set1_epi64x(-1);
   __m256i* suffix = reinterpret_cast<__m256i*>(scratch);
@@ -254,22 +314,21 @@ __attribute__((target("avx2"))) void run_avx2(const std::uint64_t* a, const std:
     }
     const std::uint64_t* pa = a + col;
     const std::uint64_t* pb = b + col;
+    const __m256i tail_a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + last + col));
+    const __m256i tail_b = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + last + col));
     __m256i carry = zero, sw = zero, e = zero;
-    for (int base = 0; base < n; base += chain) {
-      const int len = std::min(chain, n - base);
+    for (int base = 0; base < bits; base += chain) {
+      const int len = std::min(chain, bits - base);
+      const int fresh = std::clamp(stored - base, 0, len);
       __m256i prefix = ones;
-      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
-        const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
-        const __m256i y = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
-        const __m256i p = _mm256_xor_si256(x, y);
-        carry = _mm256_or_si256(_mm256_and_si256(x, y), _mm256_and_si256(p, carry));
-        prefix = _mm256_and_si256(prefix, p);
-        const __m256i runs = _mm256_and_si256(_mm256_loadu_si256(suffix + t), prefix);
-        _mm256_storeu_si256(suffix + t, p);
-        sw = _mm256_or_si256(sw, _mm256_and_si256(runs, carry));
-        e = _mm256_or_si256(e, runs);
+      int t = 0;
+      for (; t < fresh; ++t, pa += lw, pb += lw) {
+        run_bit_avx2(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa)),
+                     _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb)), suffix + t, carry,
+                     prefix, sw, e);
       }
-      if (base + chain < n) {
+      for (; t < len; ++t) run_bit_avx2(tail_a, tail_b, suffix + t, carry, prefix, sw, e);
+      if (base + chain < bits) {
         __m256i acc = ones;
         for (int t = chain - 1; t >= 0; --t) {
           const __m256i p = _mm256_loadu_si256(suffix + t);
@@ -281,7 +340,7 @@ __attribute__((target("avx2"))) void run_avx2(const std::uint64_t* a, const std:
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(spec_wrong + col), sw);
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(err + col), e);
   }
-  run_scalar(a, b, n, lane_words, chain, col, spec_wrong, err, scratch);
+  run_scalar(a, b, n, stored, lane_words, chain, col, spec_wrong, err, scratch);
 }
 
 
@@ -363,21 +422,26 @@ __attribute__((target("avx512f,avx512vpopcntdq"))) std::uint64_t popcount_avx512
 // immediates: 0xE8 = maj(x, y, z), 0x60 = x & (y ^ z), 0xF8 = x | (y & z),
 // 0xF6 = x | (y ^ z), 0xF4 = x | (y & ~z).
 __attribute__((target("avx512f,avx512bw"))) void window_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int first, int k,
-    int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong, std::uint64_t* err0,
-    std::uint64_t* err1) {
+    const std::uint64_t* a, const std::uint64_t* b, int n, int stored, int lane_words,
+    int first, int k, int col, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
+    std::uint64_t* err0, std::uint64_t* err1) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   const __m512i zero = _mm512_setzero_si512();
   const __m512i ones = _mm512_set1_epi64(-1);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   for (; col + 8 <= lane_words; col += 8) {
     const std::uint64_t* pa = a + col;
     const std::uint64_t* pb = b + col;
     __m512i prev_g = zero, prev_p = zero, carry = zero, s0 = zero, s1 = zero, e0 = zero,
             e1 = zero;
-    int pos = 0;
-    for (int i = 0, size = first; pos < n; ++i, pos += size, size = k) {
+    for (int i = 0, pos = 0, size = first; pos < n; ++i, pos += size, size = k) {
+      if (pos >= stored) {
+        pa = a + last + col;
+        pb = b + last + col;
+      }
       __m512i g = zero, p = ones;
-      for (int bit = 0; bit < size; ++bit, pa += lw, pb += lw) {
+      const int reads = window_reads(pos, size, stored);
+      for (int bit = 0; bit < reads; ++bit, pa += lw, pb += lw) {
         const __m512i x = _mm512_loadu_si512(pa);
         const __m512i y = _mm512_loadu_si512(pb);
         g = _mm512_ternarylogic_epi64(x, y, g, 0xE8);
@@ -393,19 +457,35 @@ __attribute__((target("avx512f,avx512bw"))) void window_avx512(
       carry = _mm512_ternarylogic_epi64(g, p, carry, 0xF8);
       prev_g = g;
       prev_p = p;
+      if (window_tail_done(i, pos, k, stored)) break;
     }
     _mm512_storeu_si512(spec0_wrong + col, s0);
     _mm512_storeu_si512(spec1_wrong + col, s1);
     _mm512_storeu_si512(err0 + col, e0);
     _mm512_storeu_si512(err1 + col, e1);
   }
-  window_avx2(a, b, n, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0, err1);
+  window_avx2(a, b, n, stored, lane_words, first, k, col, spec0_wrong, spec1_wrong, err0,
+              err1);
+}
+
+__attribute__((target("avx512f,avx512bw"), always_inline)) inline void run_bit_avx512(
+    __m512i x, __m512i y, std::uint64_t* slot, __m512i& carry, __m512i& prefix, __m512i& sw,
+    __m512i& e) {
+  const __m512i p = _mm512_xor_si512(x, y);
+  carry = _mm512_ternarylogic_epi64(x, y, carry, 0xE8);
+  prefix = _mm512_and_si512(prefix, p);
+  const __m512i runs = _mm512_and_si512(_mm512_loadu_si512(slot), prefix);
+  _mm512_storeu_si512(slot, p);
+  sw = _mm512_ternarylogic_epi64(sw, runs, carry, 0xF8);
+  e = _mm512_or_si512(e, runs);
 }
 
 __attribute__((target("avx512f,avx512bw"))) void run_avx512(
-    const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain, int col,
-    std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch) {
+    const std::uint64_t* a, const std::uint64_t* b, int n, int stored, int lane_words,
+    int chain, int col, std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
+  const int bits = run_bits(n, stored, chain);
+  const std::size_t last = static_cast<std::size_t>(stored - 1) * lw;
   const __m512i zero = _mm512_setzero_si512();
   const __m512i ones = _mm512_set1_epi64(-1);
   for (; col + 8 <= lane_words; col += 8) {
@@ -414,22 +494,20 @@ __attribute__((target("avx512f,avx512bw"))) void run_avx512(
     }
     const std::uint64_t* pa = a + col;
     const std::uint64_t* pb = b + col;
+    const __m512i tail_a = _mm512_loadu_si512(a + last + col);
+    const __m512i tail_b = _mm512_loadu_si512(b + last + col);
     __m512i carry = zero, sw = zero, e = zero;
-    for (int base = 0; base < n; base += chain) {
-      const int len = std::min(chain, n - base);
+    for (int base = 0; base < bits; base += chain) {
+      const int len = std::min(chain, bits - base);
+      const int fresh = std::clamp(stored - base, 0, len);
       __m512i prefix = ones;
-      for (int t = 0; t < len; ++t, pa += lw, pb += lw) {
-        const __m512i x = _mm512_loadu_si512(pa);
-        const __m512i y = _mm512_loadu_si512(pb);
-        const __m512i p = _mm512_xor_si512(x, y);
-        carry = _mm512_ternarylogic_epi64(x, y, carry, 0xE8);
-        prefix = _mm512_and_si512(prefix, p);
-        const __m512i runs = _mm512_and_si512(_mm512_loadu_si512(scratch + 8 * t), prefix);
-        _mm512_storeu_si512(scratch + 8 * t, p);
-        sw = _mm512_ternarylogic_epi64(sw, runs, carry, 0xF8);
-        e = _mm512_or_si512(e, runs);
+      int t = 0;
+      for (; t < fresh; ++t, pa += lw, pb += lw) {
+        run_bit_avx512(_mm512_loadu_si512(pa), _mm512_loadu_si512(pb), scratch + 8 * t, carry,
+                       prefix, sw, e);
       }
-      if (base + chain < n) {
+      for (; t < len; ++t) run_bit_avx512(tail_a, tail_b, scratch + 8 * t, carry, prefix, sw, e);
+      if (base + chain < bits) {
         __m512i acc = ones;
         for (int t = chain - 1; t >= 0; --t) {
           const __m512i p = _mm512_loadu_si512(scratch + 8 * t);
@@ -441,7 +519,7 @@ __attribute__((target("avx512f,avx512bw"))) void run_avx512(
     _mm512_storeu_si512(spec_wrong + col, sw);
     _mm512_storeu_si512(err + col, e);
   }
-  run_avx2(a, b, n, lane_words, chain, col, spec_wrong, err, scratch);
+  run_avx2(a, b, n, stored, lane_words, chain, col, spec_wrong, err, scratch);
 }
 
 
@@ -579,10 +657,10 @@ __attribute__((target("avx512f,avx512dq"))) void encode_avx512(
 struct Kernels {
   Backend backend;
   std::uint64_t (*popcount)(const std::uint64_t*, std::size_t);
-  void (*window)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, int,
+  void (*window)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, int, int,
                  std::uint64_t*, std::uint64_t*, std::uint64_t*, std::uint64_t*);
-  void (*run)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, std::uint64_t*,
-              std::uint64_t*, std::uint64_t*);
+  void (*run)(const std::uint64_t*, const std::uint64_t*, int, int, int, int, int,
+              std::uint64_t*, std::uint64_t*, std::uint64_t*);
   void (*transpose)(std::uint64_t*);
   void (*encode)(const double*, std::size_t, std::size_t, double, double, const EncodeBounds&,
                  std::uint64_t*);
@@ -737,22 +815,24 @@ std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m) {
   return active().popcount(x, m);
 }
 
-void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
-                  int first, int k, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
-                  std::uint64_t* err0, std::uint64_t* err1) {
-  assert(n >= 1 && lane_words >= 1 && k >= 1 && first >= 1 && first <= n &&
-         (n - first) % k == 0);
+void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+                  int lane_words, int first, int k, std::uint64_t* spec0_wrong,
+                  std::uint64_t* spec1_wrong, std::uint64_t* err0, std::uint64_t* err1) {
+  assert(n >= 1 && stored >= 1 && stored <= n && lane_words >= 1 && k >= 1 && first >= 1 &&
+         first <= n && (n - first) % k == 0);
   // Whole-plane kernel: bases must sit on the PlaneVec alignment contract.
   assert(aligned64(a) && aligned64(b));
   (void)aligned64;
-  active().window(a, b, n, lane_words, first, k, 0, spec0_wrong, spec1_wrong, err0, err1);
+  active().window(a, b, n, stored, lane_words, first, k, 0, spec0_wrong, spec1_wrong, err0,
+                  err1);
 }
 
-void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain,
-               std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch) {
-  assert(n >= 1 && lane_words >= 1 && chain >= 1 && chain <= n);
+void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+               int lane_words, int chain, std::uint64_t* spec_wrong, std::uint64_t* err,
+               std::uint64_t* scratch) {
+  assert(n >= 1 && stored >= 1 && stored <= n && lane_words >= 1 && chain >= 1 && chain <= n);
   assert(aligned64(a) && aligned64(b));
-  active().run(a, b, n, lane_words, chain, 0, spec_wrong, err, scratch);
+  active().run(a, b, n, stored, lane_words, chain, 0, spec_wrong, err, scratch);
 }
 
 void transpose_64x64(std::uint64_t block[64]) { active().transpose(block); }

@@ -107,12 +107,19 @@ bool set_backend(std::string_view name);
 [[nodiscard]] std::uint64_t popcount_sum(const std::uint64_t* x, std::size_t m);
 
 // --- Streaming sweeps over bit-major operand planes.  Both take the operand
-// --- planes a/b of an n-bit batch (n * lane_words words each, bit i's group
-// --- at [i * lane_words, (i + 1) * lane_words)), walk the bits once from the
-// --- LSB up with their state in registers (plus the run sweep's suffix
-// --- scratch), and write lane-mask groups of lane_words words.  Lane-word
-// --- columns are independent, so SIMD bodies take whole vectors of columns
-// --- and leave the rest to narrower bodies, down to the scalar one.
+// --- planes a/b of an n-bit batch (bit i's group at [i * lane_words,
+// --- (i + 1) * lane_words)) of which the first `stored` (1 <= stored <= n)
+// --- are read: every plane at or above `stored` repeats plane stored - 1
+// --- (BitSlicedBatch::stored_planes), so its words are never touched.  They
+// --- walk the bits once from the LSB up with their state in registers (plus
+// --- the run sweep's suffix scratch), fold the constant tail in closed form,
+// --- and write lane-mask groups of lane_words words.  Lane-word columns are
+// --- independent, so SIMD bodies take whole vectors of columns and leave the
+// --- rest to narrower bodies, down to the scalar one.
+//
+// The tail is constant per lane (a = A, b = B), so its bits generate
+// G = A & B and propagate P = A ^ B with G & P = 0, and the carry
+// c' = G | (P & c) is idempotent there.
 
 /// The SCSA window sweep (ScsaModel::evaluate_batch).  The windows are
 /// [0, first) and then `k`-bit windows up to n (first + k * (m - 1) == n).
@@ -125,9 +132,15 @@ bool set_backend(std::string_view name);
 ///                G_{i-1} | P_{i-1} beyond);
 ///   err0: some pair G_{i-1} & P_i (i >= 1);
 ///   err1: some pair P_{i-1} & ~P_i (i >= 2).
-void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words,
-                  int first, int k, std::uint64_t* spec0_wrong, std::uint64_t* spec1_wrong,
-                  std::uint64_t* err0, std::uint64_t* err1);
+/// Tail: a repeated plane leaves a window's G and P alone, so a window reads
+/// its stored planes (plane stored - 1 once if it has none).  Windows wholly
+/// at or above plane stored - 1 all yield (G, P) and leave the carry
+/// unchanged after the first, so from window 2 on, once the previous window
+/// lay there too, every later window repeats the same fold and the sweep
+/// stops.
+void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+                  int lane_words, int first, int k, std::uint64_t* spec0_wrong,
+                  std::uint64_t* spec1_wrong, std::uint64_t* err0, std::uint64_t* err1);
 
 /// The VLSA propagate-run sweep (VlsaModel::evaluate_batch) for speculative
 /// chain length `chain` (1 <= chain <= n).  Ripples the exact carry
@@ -140,9 +153,13 @@ void window_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lan
 /// The second fold is the speculative-carry error "run ending at j and a
 /// carry entering it": a carry crosses an all-propagate run unchanged, so the
 /// carry into the run's low bit equals the carry out of its top bit.
-/// `scratch` must hold chain * lane_words words (clobbered).
-void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int lane_words, int chain,
-               std::uint64_t* spec_wrong, std::uint64_t* err, std::uint64_t* scratch);
+/// Tail: the carry is constant from bit stored - 1 on and runs(j) = P from
+/// j = stored - 2 + chain on, so the sweep stops after bit
+/// min(n, stored - 1 + chain) - 1, reading plane stored - 1 for the bits
+/// above it.  `scratch` must hold chain * lane_words words (clobbered).
+void run_sweep(const std::uint64_t* a, const std::uint64_t* b, int n, int stored,
+               int lane_words, int chain, std::uint64_t* spec_wrong, std::uint64_t* err,
+               std::uint64_t* scratch);
 
 /// In-place transpose of a 64x64 bit matrix; block[i] is row i.
 void transpose_64x64(std::uint64_t block[64]);

@@ -93,7 +93,9 @@ ScsaEvaluation ScsaModel::evaluate(const ApInt& a, const ApInt& b) const {
 // sums: planeops::window_sweep ripples each window's G/P from the operand
 // planes, threads the exact window carries (windows partition the bits, so
 // c' = G | (P & c) is the prefix carry at each boundary) and folds the
-// select mismatches and detector pairs into the four lane masks.
+// select mismatches and detector pairs into the four lane masks.  It reads
+// the batch's stored planes only and folds the sign-extension tail in
+// closed form.
 void ScsaModel::evaluate_batch(const BitSlicedBatch& batch, ScsaBatchEvaluation& out) const {
   if (batch.width() != config_.width) {
     throw std::invalid_argument("ScsaModel: batch width mismatch");
@@ -103,8 +105,9 @@ void ScsaModel::evaluate_batch(const BitSlicedBatch& batch, ScsaBatchEvaluation&
   out.spec1_wrong.resize(lw);
   out.err0.resize(lw);
   out.err1.resize(lw);
-  arith::planeops::window_sweep(batch.a(), batch.b(), config_.width, batch.lane_words(),
-                                layout_.window(0).size, std::min(config_.window, config_.width),
+  arith::planeops::window_sweep(batch.a(), batch.b(), config_.width, batch.stored_planes(),
+                                batch.lane_words(), layout_.window(0).size,
+                                std::min(config_.window, config_.width),
                                 out.spec0_wrong.data(), out.spec1_wrong.data(),
                                 out.err0.data(), out.err1.data());
 }

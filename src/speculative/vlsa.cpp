@@ -76,7 +76,7 @@ VlsaEvaluation VlsaModel::evaluate(const ApInt& a, const ApInt& b) const {
 // all-propagate and a carry enters it, and a carry crosses an all-propagate
 // run unchanged, so "a carry enters it" is the exact carry out of bit j.
 // planeops::run_sweep ripples that carry and the sliding run mask in one
-// pass over the operand planes.
+// pass over the batch's stored planes, folding the tail in closed form.
 void VlsaModel::evaluate_batch(const arith::BitSlicedBatch& batch,
                                VlsaBatchEvaluation& out) const {
   if (batch.width() != config_.width) {
@@ -86,9 +86,9 @@ void VlsaModel::evaluate_batch(const arith::BitSlicedBatch& batch,
   out.spec_wrong.resize(lw);
   out.err.resize(lw);
   out.scratch.resize(static_cast<std::size_t>(config_.chain) * lw);
-  arith::planeops::run_sweep(batch.a(), batch.b(), config_.width, batch.lane_words(),
-                             config_.chain, out.spec_wrong.data(), out.err.data(),
-                             out.scratch.data());
+  arith::planeops::run_sweep(batch.a(), batch.b(), config_.width, batch.stored_planes(),
+                             batch.lane_words(), config_.chain, out.spec_wrong.data(),
+                             out.err.data(), out.scratch.data());
 }
 
 // ---- netlist generator ------------------------------------------------------

@@ -114,6 +114,36 @@ TEST(BitSlicedBatchTest, LoadLaneRoundtrip) {
   }
 }
 
+// The tail rule: planes >= stored_planes() repeat plane stored_planes() - 1,
+// whatever their words hold.  lane() sign-extends from the last stored
+// plane, load() stores every plane again, and the count stays in [1, width].
+TEST(BitSlicedBatchTest, LaneReadsThroughTheStoredPlaneTail) {
+  const int width = 130;
+  BitSlicedBatch batch(width, 2);
+  EXPECT_EQ(batch.stored_planes(), width);
+  vlcsa::arith::BlockRng rng(6);
+  std::vector<ApInt> a, b;
+  for (int j = 0; j < batch.lanes(); ++j) {
+    a.push_back(ApInt::random(width, rng));
+    b.push_back(ApInt::random(width, rng));
+  }
+  for (const int stored : {1, 63, 64, 65, width}) {
+    batch.load(a, b);
+    EXPECT_EQ(batch.stored_planes(), width);
+    batch.set_stored_planes(stored);
+    const std::size_t tail = static_cast<std::size_t>(stored) * 2;
+    std::fill(batch.a() + tail, batch.a() + width * 2, 0x0123456789ABCDEFULL);
+    for (int j = 0; j < batch.lanes(); ++j) {
+      const std::size_t i = static_cast<std::size_t>(j);
+      const auto [la, lb] = batch.lane(j);
+      ASSERT_EQ(la, a[i].zext(stored).sext(width)) << "stored " << stored << " lane " << j;
+      ASSERT_EQ(lb, b[i].zext(stored).sext(width)) << "stored " << stored << " lane " << j;
+    }
+  }
+  EXPECT_THROW(batch.set_stored_planes(0), std::invalid_argument);
+  EXPECT_THROW(batch.set_stored_planes(width + 1), std::invalid_argument);
+}
+
 TEST(BitSlicedBatchTest, LaneAccessorRejectsOutOfRangeLanes) {
   BitSlicedBatch batch(8, 2);
   EXPECT_THROW((void)batch.lane(-1), std::invalid_argument);
@@ -209,8 +239,8 @@ TEST_P(SweepApIntTest, RunSweepMatchesApIntAddCarries) {
   for (const int chain : {1, 2, 5, 21, width - 1, width}) {
     if (chain < 1 || chain > width) continue;
     planeops::PlaneVec spec_wrong(lw), err(lw), scratch(static_cast<std::size_t>(chain) * lw);
-    planeops::run_sweep(batch.a(), batch.b(), width, lane_words, chain, spec_wrong.data(),
-                        err.data(), scratch.data());
+    planeops::run_sweep(batch.a(), batch.b(), width, batch.stored_planes(), lane_words, chain,
+                        spec_wrong.data(), err.data(), scratch.data());
     for (int j = 0; j < batch.lanes(); ++j) {
       const auto& p = propagate[static_cast<std::size_t>(j)];
       const auto& c = carry_out[static_cast<std::size_t>(j)];
@@ -242,8 +272,8 @@ TEST_P(SweepApIntTest, WindowSweepMatchesApIntAddCarries) {
     if (k > width) continue;
     const int first = width - k * ((width - 1) / k);  // remainder first, as in WindowLayout
     planeops::PlaneVec spec0(lw), spec1(lw), err0(lw), err1(lw);
-    planeops::window_sweep(batch.a(), batch.b(), width, lane_words, first, k, spec0.data(),
-                           spec1.data(), err0.data(), err1.data());
+    planeops::window_sweep(batch.a(), batch.b(), width, batch.stored_planes(), lane_words,
+                           first, k, spec0.data(), spec1.data(), err0.data(), err1.data());
     for (int j = 0; j < batch.lanes(); ++j) {
       const auto& p = propagate[static_cast<std::size_t>(j)];
       const auto& c = carry_out[static_cast<std::size_t>(j)];
@@ -282,10 +312,11 @@ INSTANTIATE_TEST_SUITE_P(WidthsByLaneWords, SweepApIntTest,
                                             ::testing::Values(1, 2, 4)));
 
 // fill_batch contract: same samples, same RNG consumption as lanes() x next().
-// The batch starts dirty and is filled twice, so every plane of each fill
-// (the Gaussian sources' batch-level high planes included) must overwrite
-// what was there.  The next() sequence is drawn once on the scalar backend,
-// the oracle, and the fills run on every available backend against it.
+// The batch starts dirty and is filled twice, so every stored plane of each
+// fill must overwrite what was there, and the lanes read through the
+// Gaussian tail must ignore the dirty planes above it.  The next() sequence
+// is drawn once on the scalar backend, the oracle, and the fills run on
+// every available backend against it.
 void expect_fill_matches_next(const OperandSource& proto, int lane_words) {
   // Restores the entry backend on every exit, failed assertions included.
   struct RestoreBackend {
@@ -306,6 +337,12 @@ void expect_fill_matches_next(const OperandSource& proto, int lane_words) {
 
   const std::size_t plane_words =
       static_cast<std::size_t>(width) * static_cast<std::size_t>(lane_words);
+  // Gaussian samples carry at most 64 bits: the fill stores the sign plane
+  // 63 (two's complement) or a zero plane 64 (unsigned) last.
+  const std::string name = proto.name();
+  const int stored = name == "gaussian-twos-complement" ? std::min(width, 64)
+                     : name == "gaussian-unsigned"      ? std::min(width, 65)
+                                                        : width;
   for (const planeops::Backend backend :
        {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512,
         planeops::Backend::kNeon}) {
@@ -321,6 +358,7 @@ void expect_fill_matches_next(const OperandSource& proto, int lane_words) {
     const auto batch_source = proto.clone();
     for (int fill = 0; fill < kFills; ++fill) {
       batch_source->fill_batch(rng_batch, batch);
+      ASSERT_EQ(batch.stored_planes(), stored) << where();
       for (int j = 0; j < batch.lanes(); ++j) {
         const auto& [a, b] = expected[static_cast<std::size_t>(fill * batch.lanes() + j)];
         const auto [la, lb] = batch.lane(j);

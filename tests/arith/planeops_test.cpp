@@ -2,7 +2,8 @@
 // AVX-512 / NEON when the host supports them) must compute bit-identical
 // results to the scalar oracle on every kernel, including ragged tails and
 // the shape-sensitive window and run sweeps at lane widths that leave
-// leftover columns for the scalar body.  The scalar sweeps are in turn
+// leftover columns for the scalar body, and the sweeps' sign-extension tail
+// fold against materialized planes.  The scalar sweeps are in turn
 // pinned to a naive per-bit reference, and the sample encoder to a
 // nearbyint reference.  Also covers the dispatch surface: backend naming,
 // availability, and the set_backend contract.
@@ -165,11 +166,12 @@ struct WindowOut {
 };
 
 WindowOut run_window(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int first,
-                     int k) {
+                     int k, int stored = 0) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   WindowOut out{PlaneVec(lw), PlaneVec(lw), PlaneVec(lw), PlaneVec(lw)};
-  window_sweep(a.data(), b.data(), n, lane_words, first, k, out.spec0_wrong.data(),
-               out.spec1_wrong.data(), out.err0.data(), out.err1.data());
+  window_sweep(a.data(), b.data(), n, stored == 0 ? n : stored, lane_words, first, k,
+               out.spec0_wrong.data(), out.spec1_wrong.data(), out.err0.data(),
+               out.err1.data());
   return out;
 }
 
@@ -206,12 +208,13 @@ WindowOut naive_window(const PlaneVec& a, const PlaneVec& b, int n, int lane_wor
 
 using RunOut = std::pair<PlaneVec, PlaneVec>;  // (spec_wrong, err)
 
-RunOut run_runs(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int chain) {
+RunOut run_runs(const PlaneVec& a, const PlaneVec& b, int n, int lane_words, int chain,
+                int stored = 0) {
   const std::size_t lw = static_cast<std::size_t>(lane_words);
   RunOut out{PlaneVec(lw), PlaneVec(lw)};
   PlaneVec scratch(static_cast<std::size_t>(chain) * lw);
-  run_sweep(a.data(), b.data(), n, lane_words, chain, out.first.data(), out.second.data(),
-            scratch.data());
+  run_sweep(a.data(), b.data(), n, stored == 0 ? n : stored, lane_words, chain,
+            out.first.data(), out.second.data(), scratch.data());
   return out;
 }
 
@@ -278,6 +281,73 @@ TEST_P(PlaneOpsBackendTest, RunSweepMatchesScalar) {
           ASSERT_TRUE(got == scalar) << "n=" << n << " l=" << chain << " W=" << lane_words;
           ASSERT_TRUE(scalar == naive_runs(a, b, n, lane_words, chain))
               << "n=" << n << " l=" << chain << " W=" << lane_words;
+        }
+      }
+    }
+  }
+}
+
+// ---- the sign-extension tail: planes >= stored repeat plane stored - 1 ----
+
+/// `planes` with every plane >= stored overwritten by plane stored - 1: the
+/// planes the tail rule stands for, which only tests ever write out.
+PlaneVec materialize(const PlaneVec& planes, int stored, int lane_words) {
+  const std::size_t lw = static_cast<std::size_t>(lane_words);
+  PlaneVec out = planes;
+  for (std::size_t i = static_cast<std::size_t>(stored) * lw; i < out.size(); ++i) {
+    out[i] = out[i - lw];
+  }
+  return out;
+}
+
+/// Window sizes around the tail at (n, stored): short windows, windows that
+/// start at or just past plane stored - 1 (k >= n - stored puts the only
+/// boundary there), first windows that end past it, one window (k = n),
+/// and a one-bit first window (k = n - 1).
+std::vector<int> tail_window_sizes(int n, int stored) {
+  std::vector<int> out;
+  for (const int k : {1, 2, 5, 17, stored, n - stored, n - stored + 1, n - 1, n}) {
+    if (k >= 1 && k <= n && std::find(out.begin(), out.end(), k) == out.end()) out.push_back(k);
+  }
+  return out;
+}
+
+// Each backend's sweeps, given `stored`, against the scalar body given the
+// materialized planes, across n in {64, 65, 128, 512} and stored in
+// {1, 2, 63, 64, 65, n}.  The planes at and above `stored` hold fresh random
+// words (poison), so a sweep that read one would disagree with the
+// materialized result.  Long-run operands carry propagate runs and carries
+// through the tail.
+TEST_P(PlaneOpsBackendTest, SweepsFoldTheTailLikeMaterializedPlanes) {
+  std::mt19937_64 rng(6);
+  for (const int n : {64, 65, 128, 512}) {
+    for (const int stored : {1, 2, 63, 64, 65, n}) {
+      if (stored > n) continue;
+      for (const int lane_words : {1, 3, 8, 16}) {
+        for (const bool long_runs : {false, true}) {
+          const auto [a, b] = sweep_operands(rng, n, lane_words, long_runs);
+          const PlaneVec full_a = materialize(a, stored, lane_words);
+          const PlaneVec full_b = materialize(b, stored, lane_words);
+          const auto where = [&] {
+            return ::testing::Message() << "n=" << n << " stored=" << stored
+                                        << " W=" << lane_words << " long=" << long_runs;
+          };
+          for (const int k : tail_window_sizes(n, stored)) {
+            const int first = n - k * ((n - 1) / k);
+            const WindowOut got = run_window(a, b, n, lane_words, first, k, stored);
+            ASSERT_TRUE(set_backend(Backend::kScalar));
+            const WindowOut want = run_window(full_a, full_b, n, lane_words, first, k);
+            ASSERT_TRUE(set_backend(GetParam()));
+            ASSERT_TRUE(got == want) << where() << " k=" << k;
+          }
+          for (const int chain : {1, 2, 21, stored, n}) {
+            if (chain > n) continue;
+            const RunOut got = run_runs(a, b, n, lane_words, chain, stored);
+            ASSERT_TRUE(set_backend(Backend::kScalar));
+            const RunOut want = run_runs(full_a, full_b, n, lane_words, chain);
+            ASSERT_TRUE(set_backend(GetParam()));
+            ASSERT_TRUE(got == want) << where() << " l=" << chain;
+          }
         }
       }
     }

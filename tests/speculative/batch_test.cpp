@@ -6,8 +6,10 @@
 //    widths (n <= 8 — 4^n pairs stays unit-test cheap there);
 //  * exhaustive in one operand x deterministic-pseudorandom partner at
 //    n in {10, 12}, again over all windows/chains;
-//  * randomized at n in {32, 64, 128} x every registered operand
-//    distribution x all four models (ScsaModel, VLCSA 1, VLCSA 2, VLSA);
+//  * randomized at n in {32, 64, 65, 128, 512} x every registered operand
+//    distribution x all four models (ScsaModel, VLCSA 1, VLCSA 2, VLSA), on
+//    batches from the source's fill_batch (the Gaussian sign-extension
+//    tail above n = 64 included);
 //  * the backend/lane-width matrix: scalar vs SIMD backend x lane words
 //    {1, 2, 3, 4, 8, 12, 16} x all four models, pinned bit-identical both
 //    per-lane (direct batch loads) and through the sharded engine against
@@ -16,7 +18,8 @@
 //    or the whole adder ((63, 63)), VLSA chains {1, 2, 21, n - 1, n}, tail
 //    sizes {1, 63, 65, 127, 255, 257} plus a full batch, and two operand
 //    families: uniform, and long propagate runs that make the speculative
-//    results wrong and the detectors fire in most lanes.
+//    results wrong and the detectors fire in most lanes.  The engine arm
+//    runs Gaussian operands at n = 64 and, tail folded, at n = 512.
 
 #include <gtest/gtest.h>
 
@@ -48,14 +51,13 @@ bool mask_lane(const planeops::PlaneVec& mask, std::size_t j) {
   return ((mask[j / 64] >> (j % 64)) & 1) != 0;
 }
 
-/// Compares every batch lane mask against per-sample scalar evaluations.
-void check_scsa_batch(const ScsaModel& model, const std::vector<ApInt>& a,
-                      const std::vector<ApInt>& b, int lane_words = 1) {
-  BitSlicedBatch batch(model.config().width, lane_words);
-  batch.load(a, b);
+/// Compares every mask of a batch holding (a[j], b[j]) in lane j against
+/// per-sample scalar evaluations.
+void check_scsa_lanes(const ScsaModel& model, const BitSlicedBatch& batch,
+                      const std::vector<ApInt>& a, const std::vector<ApInt>& b) {
   ScsaBatchEvaluation ev;
   model.evaluate_batch(batch, ev);
-  ASSERT_EQ(ev.lane_words(), lane_words);
+  ASSERT_EQ(ev.lane_words(), batch.lane_words());
   for (std::size_t j = 0; j < a.size(); ++j) {
     const auto scalar = model.evaluate(a[j], b[j]);
     const int w = static_cast<int>(j / 64);
@@ -78,13 +80,11 @@ void check_scsa_batch(const ScsaModel& model, const std::vector<ApInt>& a,
   }
 }
 
-void check_vlsa_batch(const VlsaModel& model, const std::vector<ApInt>& a,
-                      const std::vector<ApInt>& b, int lane_words = 1) {
-  BitSlicedBatch batch(model.config().width, lane_words);
-  batch.load(a, b);
+void check_vlsa_lanes(const VlsaModel& model, const BitSlicedBatch& batch,
+                      const std::vector<ApInt>& a, const std::vector<ApInt>& b) {
   VlsaBatchEvaluation ev;
   model.evaluate_batch(batch, ev);
-  ASSERT_EQ(ev.lane_words(), lane_words);
+  ASSERT_EQ(ev.lane_words(), batch.lane_words());
   for (std::size_t j = 0; j < a.size(); ++j) {
     const auto scalar = model.evaluate(a[j], b[j]);
     ASSERT_EQ(mask_lane(ev.spec_wrong, j), !scalar.spec_correct())
@@ -96,13 +96,11 @@ void check_vlsa_batch(const VlsaModel& model, const std::vector<ApInt>& a,
   }
 }
 
-void check_vlcsa_batch(const VlcsaModel& model, const std::vector<ApInt>& a,
-                       const std::vector<ApInt>& b, int lane_words = 1) {
-  BitSlicedBatch batch(model.config().width, lane_words);
-  batch.load(a, b);
+void check_vlcsa_lanes(const VlcsaModel& model, const BitSlicedBatch& batch,
+                       const std::vector<ApInt>& a, const std::vector<ApInt>& b) {
   VlcsaBatchStep step;
   model.step_batch(batch, step);
-  ASSERT_EQ(step.lane_words(), lane_words);
+  ASSERT_EQ(step.lane_words(), batch.lane_words());
   for (std::size_t j = 0; j < a.size(); ++j) {
     const auto scalar = model.step(a[j], b[j]);
     ASSERT_EQ(mask_lane(step.stalled, j), scalar.stalled)
@@ -112,6 +110,30 @@ void check_vlcsa_batch(const VlcsaModel& model, const std::vector<ApInt>& a,
         scalar.result != scalar.eval.exact || scalar.cout != scalar.eval.exact_cout;
     ASSERT_EQ(mask_lane(step.emitted_wrong, j), scalar_emitted_wrong);
   }
+}
+
+/// The check_*_lanes comparisons on a batch loaded from (a, b), which
+/// stores every plane.
+BitSlicedBatch loaded_batch(int width, const std::vector<ApInt>& a, const std::vector<ApInt>& b,
+                            int lane_words) {
+  BitSlicedBatch batch(width, lane_words);
+  batch.load(a, b);
+  return batch;
+}
+
+void check_scsa_batch(const ScsaModel& model, const std::vector<ApInt>& a,
+                      const std::vector<ApInt>& b, int lane_words = 1) {
+  check_scsa_lanes(model, loaded_batch(model.config().width, a, b, lane_words), a, b);
+}
+
+void check_vlsa_batch(const VlsaModel& model, const std::vector<ApInt>& a,
+                      const std::vector<ApInt>& b, int lane_words = 1) {
+  check_vlsa_lanes(model, loaded_batch(model.config().width, a, b, lane_words), a, b);
+}
+
+void check_vlcsa_batch(const VlcsaModel& model, const std::vector<ApInt>& a,
+                       const std::vector<ApInt>& b, int lane_words = 1) {
+  check_vlcsa_lanes(model, loaded_batch(model.config().width, a, b, lane_words), a, b);
 }
 
 TEST(ScsaBatchDifferentialTest, ExhaustiveSmallWidthsAllWindows) {
@@ -206,13 +228,21 @@ TEST(VlsaBatchDifferentialTest, ExhaustiveOperandAtMediumWidthsAllChains) {
 }
 
 /// Randomized sweep: width x distribution, driven through all four models.
+/// The batches come from the source's own fill_batch, so above n = 64 the
+/// Gaussian ones store 64 (two's complement) or 65 (unsigned) planes and the
+/// models fold the tail; the planes above hold poison.  The scalar side
+/// evaluates the same samples drawn through next() (the fill_batch stream
+/// contract).
 class RandomizedBatchTest
     : public ::testing::TestWithParam<std::tuple<int, arith::InputDistribution>> {};
 
 TEST_P(RandomizedBatchTest, AllFourModelsMatchScalar) {
   const auto [n, dist] = GetParam();
   const auto source = arith::make_source(dist, n);
-  vlcsa::arith::BlockRng rng(static_cast<std::uint64_t>(n) * 31 + static_cast<int>(dist));
+  const auto scalar_source = source->clone();
+  const std::uint64_t seed = static_cast<std::uint64_t>(n) * 31 + static_cast<int>(dist);
+  vlcsa::arith::BlockRng rng(seed), scalar_rng(seed);
+  BitSlicedBatch batch(n);
 
   // Window/chain choices: one small (frequent errors) and one realistic.
   for (const int k : {4, 11}) {
@@ -221,23 +251,26 @@ TEST_P(RandomizedBatchTest, AllFourModelsMatchScalar) {
     const VlcsaModel vlcsa2(VlcsaConfig{n, k, ScsaVariant::kScsa2});
     const VlsaModel vlsa(VlsaConfig{n, std::min(n, k + 2)});
     for (int round = 0; round < 4; ++round) {
+      std::fill_n(batch.a(), n, ~std::uint64_t{0});
+      std::fill_n(batch.b(), n, 0x5555555555555555ULL);
+      source->fill_batch(rng, batch);
       std::vector<ApInt> a, b;
-      for (int j = 0; j < 64; ++j) {
-        auto [x, y] = source->next(rng);
+      for (int j = 0; j < batch.lanes(); ++j) {
+        auto [x, y] = scalar_source->next(scalar_rng);
         a.push_back(std::move(x));
         b.push_back(std::move(y));
       }
-      check_scsa_batch(scsa, a, b);
-      check_vlcsa_batch(vlcsa1, a, b);
-      check_vlcsa_batch(vlcsa2, a, b);
-      check_vlsa_batch(vlsa, a, b);
+      check_scsa_lanes(scsa, batch, a, b);
+      check_vlcsa_lanes(vlcsa1, batch, a, b);
+      check_vlcsa_lanes(vlcsa2, batch, a, b);
+      check_vlsa_lanes(vlsa, batch, a, b);
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     WidthByDistribution, RandomizedBatchTest,
-    ::testing::Combine(::testing::Values(32, 64, 128),
+    ::testing::Combine(::testing::Values(32, 64, 65, 128, 512),
                        ::testing::Values(arith::InputDistribution::kUniformUnsigned,
                                          arith::InputDistribution::kUniformTwos,
                                          arith::InputDistribution::kGaussianUnsigned,
@@ -356,25 +389,34 @@ TEST_P(BackendLaneWidthTest, AllFourModelsMatchScalarPerLane) {
 TEST_P(BackendLaneWidthTest, EngineCountersBitIdenticalToScalarPath) {
   const auto [backend, lane_words] = GetParam();
   (void)backend;
-  const auto source = arith::make_source(arith::InputDistribution::kGaussianTwos, 64);
-  for (const std::uint64_t samples : {1ull, 63ull, 65ull, 127ull, 255ull, 257ull}) {
-    harness::RunOptions options;
-    options.samples = samples;
-    options.seed = 29;
-    options.threads = 1;
-    options.lane_words = lane_words;
-    const spec::VlcsaConfig config1{64, 9, ScsaVariant::kScsa1};
-    const spec::VlcsaConfig config2{64, 9, ScsaVariant::kScsa2};
-    const spec::VlsaConfig vlsa_config{64, 11};
-    const auto b1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kBatched);
-    const auto s1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kScalar);
-    EXPECT_EQ(b1, s1) << "VLCSA1 samples=" << samples << " W=" << lane_words;
-    const auto b2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kBatched);
-    const auto s2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kScalar);
-    EXPECT_EQ(b2, s2) << "VLCSA2 samples=" << samples << " W=" << lane_words;
-    const auto bv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kBatched);
-    const auto sv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kScalar);
-    EXPECT_EQ(bv, sv) << "VLSA samples=" << samples << " W=" << lane_words;
+  // n = 512 batches store 64 (two's complement) or 65 (unsigned) planes.
+  for (const auto& [dist, n] : {std::pair{arith::InputDistribution::kGaussianTwos, 64},
+                                std::pair{arith::InputDistribution::kGaussianTwos, 512},
+                                std::pair{arith::InputDistribution::kGaussianUnsigned, 512}}) {
+    const auto source = arith::make_source(dist, n);
+    for (const std::uint64_t samples : {1ull, 63ull, 65ull, 127ull, 255ull, 257ull}) {
+      harness::RunOptions options;
+      options.samples = samples;
+      options.seed = 29;
+      options.threads = 1;
+      options.lane_words = lane_words;
+      const spec::VlcsaConfig config1{n, 9, ScsaVariant::kScsa1};
+      const spec::VlcsaConfig config2{n, 9, ScsaVariant::kScsa2};
+      const spec::VlsaConfig vlsa_config{n, 11};
+      const auto where = [&] {
+        return ::testing::Message() << to_string(dist) << " n=" << n << " samples=" << samples
+                                    << " W=" << lane_words;
+      };
+      const auto b1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kBatched);
+      const auto s1 = harness::run_vlcsa(config1, *source, options, harness::EvalPath::kScalar);
+      EXPECT_EQ(b1, s1) << "VLCSA1 " << where();
+      const auto b2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kBatched);
+      const auto s2 = harness::run_vlcsa(config2, *source, options, harness::EvalPath::kScalar);
+      EXPECT_EQ(b2, s2) << "VLCSA2 " << where();
+      const auto bv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kBatched);
+      const auto sv = harness::run_vlsa(vlsa_config, *source, options, harness::EvalPath::kScalar);
+      EXPECT_EQ(bv, sv) << "VLSA " << where();
+    }
   }
 }
 
