@@ -4,8 +4,9 @@
 // netlist simulation, the optimizer, and static timing — the costs that
 // bound every Monte Carlo and synthesis experiment above.
 //
-// Backend-sensitive rows take a 0/1 argument (scalar / auto-dispatched
-// backend) and label themselves with the backend they ran on, so one
+// Backend-sensitive rows take a 0/1 argument (the scalar backend / the one
+// active at startup: auto dispatch or the VLCSA_FORCE_BACKEND pin) and
+// label themselves with the backend they ran on, so one
 // google-benchmark JSON output (--benchmark_out=FILE
 // --benchmark_out_format=json) is the machine-readable perf record: CI
 // uploads it as the BENCH_batch.json artifact.
@@ -124,17 +125,19 @@ BENCHMARK(BM_VlsaEvaluateBatch)
     ->Args({512, 8});
 
 // ---- plane-kernel layer, per backend ---------------------------------------
-// Args: (plane words, 0 = scalar backend / 1 = auto-dispatched best).  Each
-// bench pins the requested backend for its own run and restores dispatch on
-// exit, so orderings never leak between benches.
+// The backend arg of the rows below: 0 = the scalar backend, 1 = the backend
+// active at startup, i.e. auto dispatch's best or the VLCSA_FORCE_BACKEND
+// pin, so `VLCSA_FORCE_BACKEND=avx2` times the AVX2 kernels on any host that
+// has them.  Each bench pins its backend for its own run and restores
+// dispatch on exit, so orderings never leak between benches.
+
+const planeops::Backend kStartupBackend = planeops::active_backend();
 
 class BackendScope {
  public:
-  explicit BackendScope(const char* name) : prev_(planeops::active_backend()) {
-    planeops::set_backend(name);
+  explicit BackendScope(bool startup) : prev_(planeops::active_backend()) {
+    planeops::set_backend(startup ? kStartupBackend : planeops::Backend::kScalar);
   }
-  explicit BackendScope(bool best) : BackendScope(best ? "auto" : "scalar") {}
-  // Restore the pre-bench backend, so a VLCSA_FORCE_BACKEND pin survives.
   ~BackendScope() { planeops::set_backend(prev_); }
 
  private:
@@ -142,9 +145,9 @@ class BackendScope {
 };
 
 // The two plane sweeps on uniform operand planes.  Args: (n, lane_words,
-// 0 = scalar backend / 1 = auto-dispatched best, stored planes); the VLSA
-// chain is the published l for n, the SCSA window the 1e-4 sizing.  The
-// 512/8/1/64 rows are the Gaussian shape: 64 stored planes and a folded tail.
+// backend, stored planes); the VLSA chain is the published l for n, the
+// SCSA window the 1e-4 sizing.  The 512/8/1/64 rows are the Gaussian shape:
+// 64 stored planes and a folded tail.
 void BM_PlaneWindowSweep(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int lane_words = static_cast<int>(state.range(1));
@@ -210,7 +213,7 @@ BENCHMARK(BM_PlaneTranspose64x64)->Arg(0)->Arg(1);
 
 // The sample encoder as the Gaussian fill calls it: 1024 ziggurat variates
 // read at stride 2 (one operand of interleaved pairs), Ch. 7 params, n = 64
-// two's complement.  Arg: 0 = scalar backend / 1 = auto-dispatched best.
+// two's complement.  Arg: backend.
 void BM_PlaneEncodeSamples(benchmark::State& state) {
   const BackendScope scope(state.range(0) != 0);
   constexpr std::size_t kCount = 1024;
@@ -246,7 +249,7 @@ BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Arg
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
-// feeds.  Args where present: (0 = scalar backend / 1 = auto-dispatched).
+// feeds.  The backend arg, where present, comes last.
 
 void BM_RngStdMt19937Draws(benchmark::State& state) {
   std::mt19937_64 rng(1);
@@ -388,9 +391,9 @@ BENCHMARK(BM_StaticTiming)->Arg(64)->Arg(256);
 // The acceptance benchmark for the batch pipeline: the full error-rate
 // sampling loop (operand generation + model + counters), one body for all
 // four distribution x eval-path variants.  Batched args: (width, lane_words,
-// backend: 0 scalar / 1 auto) — (W=1, scalar backend) is how PR 2 ran the
-// batched pipeline, (kDefaultLaneWords, auto) is the current default, and
-// the items/sec ratio between them is the SIMD layer's end-to-end delta.
+// backend) — (W=1, scalar backend) is the batched pipeline without SIMD,
+// (kDefaultLaneWords, startup backend) the default, and the items/sec ratio
+// between them is the SIMD layer's end-to-end delta.
 // Scalar-path args: (width) only.  `window` 0 = sized for 0.01%.
 void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, int window,
                         std::uint64_t seed, harness::EvalPath path) {

@@ -1,8 +1,11 @@
 #pragma once
 // Plane-kernel layer: the word-parallel primitives every bit-sliced
-// evaluation path is built from, each with a scalar backend and (on x86-64)
-// AVX2 and AVX-512 backends — the NEON row runs the scalar bodies —
-// selected once at startup by runtime CPU dispatch.
+// evaluation path is built from, with a scalar backend and (on x86-64) AVX2
+// and AVX-512 backends selected once at startup by runtime CPU dispatch.
+// Each kernel is one body (planeops_kernels.inc) written over a small
+// per-ISA vector-ops set (vector_ops.hpp) and compiled once per backend;
+// only the vpopcntq reduction, the GFNI transpose and the AVX-512 sample
+// encoder, which are different algorithms, are written for their ISA.
 //
 // A "plane array" is a flat sequence of 64-bit words; callers lay their
 // planes out bit-major with `lane_words` words per bit (bitslice.hpp), but
@@ -11,9 +14,10 @@
 // (n, lane_words) shape explicitly.
 //
 // Contracts:
-//  * Every backend computes bit-identical results — the scalar backend is
-//    the oracle and tests/arith/planeops_test.cpp pins the others to it.
-//  * Backend selection: VLCSA_FORCE_BACKEND=scalar|avx2|avx512|neon|auto in the
+//  * Every backend computes bit-identical results.  tests/arith/
+//    planeops_test.cpp pins the scalar instantiation to naive references
+//    and every backend to the scalar one.
+//  * Backend selection: VLCSA_FORCE_BACKEND=scalar|avx2|avx512|auto in the
 //    environment wins (unsupported forced backends fall back to scalar with
 //    a one-time stderr note); otherwise the best supported backend is used.
 //    set_backend() switches at runtime for tests/benches; it must not race
@@ -80,7 +84,6 @@ enum class Backend {
   kScalar,
   kAvx2,
   kAvx512,  // needs avx512f+bw+dq; vpopcntdq+gfni+vbmi picked up together when present
-  kNeon,
 };
 
 [[nodiscard]] const char* to_string(Backend backend);
@@ -96,7 +99,7 @@ enum class Backend {
 /// kernels are executing on other threads.
 bool set_backend(Backend backend);
 
-/// Parses "scalar" / "avx2" / "avx512" / "neon" / "auto" ("auto" = best
+/// Parses "scalar" / "avx2" / "avx512" / "auto" ("auto" = best
 /// available) and switches; returns false on unknown names and unavailable
 /// backends (an avx512 request on a CPU without the ISA fails, it does not
 /// degrade to auto).
@@ -114,8 +117,8 @@ bool set_backend(std::string_view name);
 // --- walk the bits once from the LSB up with their state in registers (plus
 // --- the run sweep's suffix scratch), fold the constant tail in closed form,
 // --- and write lane-mask groups of lane_words words.  Lane-word columns are
-// --- independent, so SIMD bodies take whole vectors of columns and leave the
-// --- rest to narrower bodies, down to the scalar one.
+// --- independent, so SIMD instantiations take whole vectors of columns and
+// --- leave the rest to narrower ones, down to the scalar one.
 //
 // The tail is constant per lane (a = A, b = B), so its bits generate
 // G = A & B and propagate P = A ^ B with G & P = 0, and the carry

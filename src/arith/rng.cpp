@@ -1,14 +1,15 @@
+// BlockRng: seeding, the block refill and generate_block.  The MT19937-64
+// twist and temper are one body each (rng_kernels.inc) over the per-ISA
+// vector ops of vector_ops.hpp, compiled for scalar, AVX2 and AVX-512 and
+// dispatched off the planeops backend.
+
 #include "arith/rng.hpp"
 
 #include <algorithm>
 #include <cmath>
 
 #include "arith/planeops.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VLCSA_HAVE_AVX2_RNG 1
-#include <immintrin.h>
-#endif
+#include "arith/vector_ops.hpp"
 
 namespace vlcsa::arith {
 
@@ -26,209 +27,77 @@ constexpr std::uint64_t kTemperB = 0x71D67FFFEDA60000ULL;  // s = 17
 constexpr std::uint64_t kTemperC = 0xFFF7EEE000000000ULL;  // t = 37
 constexpr std::uint64_t kSeedF = 6364136223846793005ULL;
 
-// ---- scalar backend (the oracle the SIMD twist is pinned to) ---------------
+// The twist runs in three spans of i, each a (end, lo, feed) offset
+// triple for twist_span: [0, n - m) reads the old mt[i + m]; [n - m, n - 1)
+// feeds back the *new* mt[i + m - n], written in the first span; and the
+// last word wraps its lower half around to mt[0].
+struct TwistSpan {
+  std::size_t end;
+  std::ptrdiff_t lo;
+  std::ptrdiff_t feed;
+};
 
-inline std::uint64_t twist_word(std::uint64_t hi, std::uint64_t lo) {
-  const std::uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
-  return (y >> 1) ^ ((y & 1) ? kMatrixA : 0);
-}
+constexpr std::ptrdiff_t kSignedN = kN;
+constexpr std::ptrdiff_t kSignedM = kM;
+constexpr TwistSpan kTwistSpans[] = {
+    {kN - kM, 1, kSignedM},
+    {kN - 1, 1, kSignedM - kSignedN},
+    {kN, 1 - kSignedN, kSignedM - kSignedN},
+};
 
-void twist_scalar(std::uint64_t* mt) {
-  for (std::size_t i = 0; i < kN - kM; ++i) {
-    mt[i] = mt[i + kM] ^ twist_word(mt[i], mt[i + 1]);
-  }
-  for (std::size_t i = kN - kM; i < kN - 1; ++i) {
-    mt[i] = mt[i + kM - kN] ^ twist_word(mt[i], mt[i + 1]);
-  }
-  mt[kN - 1] = mt[kM - 1] ^ twist_word(mt[kN - 1], mt[0]);
-}
-
-inline std::uint64_t temper_word(std::uint64_t z) {
-  z ^= (z >> 29) & kTemperD;
-  z ^= (z << 17) & kTemperB;
-  z ^= (z << 37) & kTemperC;
-  z ^= z >> 43;
-  return z;
-}
-
-void temper_scalar(const std::uint64_t* mt, std::uint64_t* dst) {
-  for (std::size_t i = 0; i < kN; ++i) dst[i] = temper_word(mt[i]);
-}
-
-// ---- AVX2 backend ----------------------------------------------------------
+// ---- the twist and temper bodies, once per ISA ------------------------------
 //
-// Same per-function target attributes as planeops.cpp: the stock build
-// carries the AVX2 bodies and runtime dispatch picks them on capable hosts.
-// The twist recurrence x[i] = x[i+m] ^ f(x[i], x[i+1]) only feeds back at
-// distances m = 156 and 1 (through the *old* value of x[i+1]), so 4-wide
-// chunks that load both operand vectors before storing never observe a
-// value the chunk itself wrote — the exact pre-round-read reasoning of the
-// planeops kogge/ssand kernels.
+// rng_kernels.inc holds one body each over the ops set of its namespace
+// (vector_ops.hpp), compiled per ISA like the planeops kernels.
 
-#if VLCSA_HAVE_AVX2_RNG
+namespace scalar {
+using namespace simd::scalar;
+#include "arith/rng_kernels.inc"
+}  // namespace scalar
 
-__attribute__((target("avx2"))) inline __m256i twist_vec(__m256i hi, __m256i lo,
-                                                         __m256i feed) {
-  const __m256i upper = _mm256_set1_epi64x(static_cast<long long>(kUpperMask));
-  const __m256i lower = _mm256_set1_epi64x(static_cast<long long>(kLowerMask));
-  const __m256i a = _mm256_set1_epi64x(static_cast<long long>(kMatrixA));
-  const __m256i one = _mm256_set1_epi64x(1);
-  const __m256i y =
-      _mm256_or_si256(_mm256_and_si256(hi, upper), _mm256_and_si256(lo, lower));
-  // (y & 1) ? A : 0 without a compare: 0 - (y & 1) is all-ones or zero.
-  const __m256i odd_mask =
-      _mm256_sub_epi64(_mm256_setzero_si256(), _mm256_and_si256(y, one));
-  return _mm256_xor_si256(
-      feed, _mm256_xor_si256(_mm256_srli_epi64(y, 1), _mm256_and_si256(odd_mask, a)));
-}
+#if VLCSA_HAVE_X86_BACKENDS
+VLCSA_TARGET_PUSH(VLCSA_AVX2_TARGET)
+namespace avx2 {
+using namespace simd::avx2;
+#include "arith/rng_kernels.inc"
+}  // namespace avx2
+VLCSA_TARGET_POP
 
-__attribute__((target("avx2"))) void twist_avx2(std::uint64_t* mt) {
-  // First stretch: i in [0, n-m) reads old mt[i..i+1] and old mt[i+m].
-  // 156 is a multiple of 4, so no scalar tail here.
-  for (std::size_t i = 0; i < kN - kM; i += 4) {
-    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i));
-    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i + 1));
-    const __m256i feed =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i + kM));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mt + i), twist_vec(hi, lo, feed));
-  }
-  // Second stretch: i in [n-m, n-1) feeds back the *new* mt[i+m-n] (written
-  // 156 slots earlier) while still reading old mt[i..i+1]; a 4-chunk writes
-  // mt[i..i+3] only after loading mt[i..i+4], so the lo vector's overlap
-  // with the chunk's own stores is safe.  155 iterations -> 3 scalar tail.
-  std::size_t i = kN - kM;
-  for (; i + 4 <= kN - 1; i += 4) {
-    const __m256i hi = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i));
-    const __m256i lo = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i + 1));
-    const __m256i feed =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i + kM - kN));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(mt + i), twist_vec(hi, lo, feed));
-  }
-  for (; i < kN - 1; ++i) mt[i] = mt[i + kM - kN] ^ twist_word(mt[i], mt[i + 1]);
-  mt[kN - 1] = mt[kM - 1] ^ twist_word(mt[kN - 1], mt[0]);
-}
-
-__attribute__((target("avx2"))) void temper_avx2(const std::uint64_t* mt,
-                                                 std::uint64_t* dst) {
-  const __m256i d = _mm256_set1_epi64x(static_cast<long long>(kTemperD));
-  const __m256i b = _mm256_set1_epi64x(static_cast<long long>(kTemperB));
-  const __m256i c = _mm256_set1_epi64x(static_cast<long long>(kTemperC));
-  for (std::size_t i = 0; i < kN; i += 4) {  // 312 is a multiple of 4
-    __m256i z = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mt + i));
-    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_srli_epi64(z, 29), d));
-    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 17), b));
-    z = _mm256_xor_si256(z, _mm256_and_si256(_mm256_slli_epi64(z, 37), c));
-    z = _mm256_xor_si256(z, _mm256_srli_epi64(z, 43));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), z);
-  }
-}
-
-#endif  // VLCSA_HAVE_AVX2_RNG
-
-// ---- AVX-512 backend -------------------------------------------------------
-//
-// The 8-wide analogue of the AVX2 twist/temper.  The same pre-round-read
-// argument holds — a chunk loads mt[i..i+8] (and the feed vector) before it
-// stores mt[i..i+7] — but the chunk counts change: the first stretch spans
-// 156 words (19 chunks of 8 + 4 tail) and the second spans 155.
-
-#if VLCSA_HAVE_AVX2_RNG
-#define VLCSA_HAVE_AVX512_RNG 1
-
-// Same GCC avx512fintrin.h -Wmaybe-uninitialized false positive as
-// planeops.cpp (GCC bug 105593); silenced for this section only.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+VLCSA_TARGET_PUSH(VLCSA_AVX512_TARGET)
+namespace avx512 {
+using namespace simd::avx512;
+#include "arith/rng_kernels.inc"
+}  // namespace avx512
+VLCSA_TARGET_POP
 #endif
-
-__attribute__((target("avx512f,avx512bw"))) inline __m512i twist_vec512(__m512i hi,
-                                                                        __m512i lo,
-                                                                        __m512i feed) {
-  const __m512i upper = _mm512_set1_epi64(static_cast<long long>(kUpperMask));
-  const __m512i lower = _mm512_set1_epi64(static_cast<long long>(kLowerMask));
-  const __m512i a = _mm512_set1_epi64(static_cast<long long>(kMatrixA));
-  const __m512i one = _mm512_set1_epi64(1);
-  const __m512i y =
-      _mm512_or_si512(_mm512_and_si512(hi, upper), _mm512_and_si512(lo, lower));
-  // (y & 1) ? A : 0 without a compare: 0 - (y & 1) is all-ones or zero.
-  const __m512i odd_mask =
-      _mm512_sub_epi64(_mm512_setzero_si512(), _mm512_and_si512(y, one));
-  return _mm512_xor_si512(
-      feed, _mm512_xor_si512(_mm512_srli_epi64(y, 1), _mm512_and_si512(odd_mask, a)));
-}
-
-__attribute__((target("avx512f,avx512bw"))) void twist_avx512(std::uint64_t* mt) {
-  // First stretch: i in [0, n-m) reads old mt[i..i+1] and old mt[i+m].
-  // 156 = 19*8 + 4, so a 4-word scalar tail remains.
-  std::size_t i = 0;
-  for (; i + 8 <= kN - kM; i += 8) {
-    const __m512i hi = _mm512_loadu_si512(mt + i);
-    const __m512i lo = _mm512_loadu_si512(mt + i + 1);
-    const __m512i feed = _mm512_loadu_si512(mt + i + kM);
-    _mm512_storeu_si512(mt + i, twist_vec512(hi, lo, feed));
-  }
-  for (; i < kN - kM; ++i) mt[i] = mt[i + kM] ^ twist_word(mt[i], mt[i + 1]);
-  // Second stretch: i in [n-m, n-1) feeds back the *new* mt[i+m-n] (written
-  // 156 slots earlier) while still reading old mt[i..i+1]; an 8-chunk writes
-  // mt[i..i+7] only after loading mt[i..i+8].  155 iterations -> 3 tail.
-  for (; i + 8 <= kN - 1; i += 8) {
-    const __m512i hi = _mm512_loadu_si512(mt + i);
-    const __m512i lo = _mm512_loadu_si512(mt + i + 1);
-    const __m512i feed = _mm512_loadu_si512(mt + i + kM - kN);
-    _mm512_storeu_si512(mt + i, twist_vec512(hi, lo, feed));
-  }
-  for (; i < kN - 1; ++i) mt[i] = mt[i + kM - kN] ^ twist_word(mt[i], mt[i + 1]);
-  mt[kN - 1] = mt[kM - 1] ^ twist_word(mt[kN - 1], mt[0]);
-}
-
-__attribute__((target("avx512f,avx512bw"))) void temper_avx512(const std::uint64_t* mt,
-                                                               std::uint64_t* dst) {
-  const __m512i d = _mm512_set1_epi64(static_cast<long long>(kTemperD));
-  const __m512i b = _mm512_set1_epi64(static_cast<long long>(kTemperB));
-  const __m512i c = _mm512_set1_epi64(static_cast<long long>(kTemperC));
-  for (std::size_t i = 0; i < kN; i += 8) {  // 312 is a multiple of 8
-    __m512i z = _mm512_loadu_si512(mt + i);
-    z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_srli_epi64(z, 29), d));
-    z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_slli_epi64(z, 17), b));
-    z = _mm512_xor_si512(z, _mm512_and_si512(_mm512_slli_epi64(z, 37), c));
-    z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 43));
-    _mm512_storeu_si512(dst + i, z);
-  }
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-#endif  // VLCSA_HAVE_AVX512_RNG
 
 // ---- dispatch --------------------------------------------------------------
 //
 // The RNG rides the planeops dispatch state rather than keeping its own:
 // VLCSA_FORCE_BACKEND and planeops::set_backend select the twist/temper
 // implementation too, so one switch covers the whole bit-parallel stack.
-// NEON has no dedicated body (the scalar twist is already branch-light on
-// aarch64); it dispatches to the oracle.
 
 struct RngKernels {
   void (*twist)(std::uint64_t*);
   void (*temper)(const std::uint64_t*, std::uint64_t*);
 };
 
+constexpr RngKernels kScalarRng = {scalar::twist<>, scalar::temper};
+#if VLCSA_HAVE_X86_BACKENDS
+constexpr RngKernels kAvx2Rng = {avx2::twist<scalar::twist_span>, avx2::temper};
+constexpr RngKernels kAvx512Rng = {avx512::twist<avx2::twist_span, scalar::twist_span>,
+                                   avx512::temper};
+#endif
+
 RngKernels active_kernels() {
-#if VLCSA_HAVE_AVX512_RNG
-  if (planeops::active_backend() == planeops::Backend::kAvx512) {
-    return {twist_avx512, temper_avx512};
+#if VLCSA_HAVE_X86_BACKENDS
+  switch (planeops::active_backend()) {
+    case planeops::Backend::kAvx512: return kAvx512Rng;
+    case planeops::Backend::kAvx2: return kAvx2Rng;
+    case planeops::Backend::kScalar: break;
   }
 #endif
-#if VLCSA_HAVE_AVX2_RNG
-  if (planeops::active_backend() == planeops::Backend::kAvx2) {
-    return {twist_avx2, temper_avx2};
-  }
-#endif
-  return {twist_scalar, temper_scalar};
+  return kScalarRng;
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 // anywhere (tests/arith/rng_test.cpp pins the first 10^6 draws per seed).
 //
 // What the std engine cannot do, and this one exists for: the 312-word state
-// is regenerated as one *block* (SIMD twist + batched tempering through the
-// planeops backend pattern — scalar oracle + AVX2, runtime dispatch,
-// VLCSA_FORCE_BACKEND / planeops::set_backend respected), and consumers can
-// pull whole blocks with generate_block() instead of one word per call.
+// is regenerated as one *block* (SIMD twist + batched tempering, one body
+// each compiled for scalar, AVX2 and AVX-512 and picked by the planeops
+// dispatch, VLCSA_FORCE_BACKEND / planeops::set_backend respected), and
+// consumers can pull whole blocks with generate_block() instead of one word
+// per call.
 // That lifts the Amdahl ceiling PR 4 left: operand generation was ~90% of
 // batched sampling cost, dominated by per-call std::mt19937_64 draws.
 //
@@ -18,8 +19,8 @@
 //    construction.  generate_block(dst, n) writes exactly the next n
 //    operator() values (and consumes the stream identically), so bulk and
 //    per-call consumption interleave freely.
-//  * Every planeops backend produces the identical stream (the scalar twist
-//    is the oracle; rng_test pins the others to it).
+//  * Every planeops backend produces the identical stream (rng_test pins
+//    each one to std::mt19937_64).
 //  * The engine's reproducibility contract is unchanged: make_stream_rng
 //    (and harness::make_shard_rng on top of it) feed all 128 bits of
 //    (seed, stream) through std::seed_seq exactly as before this subsystem.

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <chrono>
+#include <optional>
 
 #include "harness/engine.hpp"
 
@@ -19,6 +20,103 @@ inline std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
 }
+
+/// steady_clock::now() in the profiled shard body; the unprofiled one reads
+/// no clock.
+template <bool kProfiled>
+std::chrono::steady_clock::time_point stage_clock() {
+  if constexpr (kProfiled) return std::chrono::steady_clock::now();
+  return {};
+}
+
+/// The shard body run_vlcsa and run_vlsa share.  `eval` is the shard's own
+/// model evaluator: eval.sample(a, b, out) steps and folds one operand pair,
+/// eval.batch(batch, out) one filled batch, keeping its scratch between
+/// blocks.  Whole batches go through fill_batch (none when `batch` is null,
+/// the scalar path), the rest through next() one pair at a time: the same
+/// draws in the same order, so the shard's RNG stream, and therefore the
+/// merged counters, match the scalar path exactly.
+template <bool kProfiled, typename Eval>
+void run_shard(Eval& eval, OperandSource& source, arith::BitSlicedBatch* batch,
+               arith::BlockRng& rng, ErrorRateResult& out, std::uint64_t count,
+               RunProfileCollector* profile) {
+  std::uint64_t done = 0;
+  std::uint64_t blocks = 0;
+  if (batch != nullptr) {
+    const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch->lanes());
+    for (; done + batch_lanes <= count; done += batch_lanes, ++blocks) {
+      const auto fill_start = stage_clock<kProfiled>();
+      source.fill_batch(rng, *batch);
+      const auto eval_start = stage_clock<kProfiled>();
+      eval.batch(*batch, out);
+      if constexpr (kProfiled) {
+        profile->add_fill_ns(elapsed_ns(fill_start, eval_start));
+        profile->add_eval_ns(elapsed_ns(eval_start, stage_clock<kProfiled>()));
+      }
+    }
+  }
+  if constexpr (kProfiled) {
+    profile->add_batch(blocks, done);
+    profile->add_scalar_samples(count - done);
+  }
+  for (; done < count; ++done) {
+    const auto [a, b] = source.next(rng);
+    eval.sample(a, b, out);
+  }
+}
+
+/// Runs `eval` (copied per shard) on `path`: batches of the default or the
+/// requested lane width, or one sample at a time.
+template <typename Eval>
+ErrorRateResult run_model(const Eval& eval, int width, OperandSource& source,
+                          const RunOptions& options, EvalPath path) {
+  const bool batched = path == EvalPath::kBatched;
+  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
+  if (batched && options.profile != nullptr) options.profile->set_lane_words(lane_words);
+  return run_sharded_blocks(
+      options, [] { return ErrorRateResult{}; },
+      [&] {
+        std::optional<arith::BitSlicedBatch> batch;
+        if (batched) batch.emplace(width, lane_words);
+        return [eval = eval, shard_source = source.clone(), batch = std::move(batch),
+                profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
+                                           std::uint64_t count) mutable {
+          arith::BitSlicedBatch* planes = batch ? &*batch : nullptr;
+          if (profile == nullptr) {
+            run_shard<false>(eval, *shard_source, planes, rng, out, count, nullptr);
+          } else {
+            run_shard<true>(eval, *shard_source, planes, rng, out, count, profile);
+          }
+        };
+      });
+}
+
+struct VlcsaEval {
+  const spec::VlcsaModel* model;
+  spec::ScsaVariant variant;
+  spec::VlcsaBatchStep step{};
+
+  void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
+    accumulate_vlcsa(model->step(a, b), variant, out);
+  }
+  void batch(const arith::BitSlicedBatch& batch, ErrorRateResult& out) {
+    model->step_batch(batch, step);
+    accumulate_vlcsa_batch(step, variant, out);
+  }
+};
+
+struct VlsaEval {
+  const spec::VlsaModel* model;
+  spec::VlsaBatchEvaluation ev{};
+
+  void sample(const arith::ApInt& a, const arith::ApInt& b, ErrorRateResult& out) const {
+    accumulate_vlsa(model->evaluate(a, b), out);
+  }
+  void batch(const arith::BitSlicedBatch& batch, ErrorRateResult& out) {
+    model->evaluate_batch(batch, ev);
+    accumulate_vlsa_batch(ev, out);
+  }
+};
 
 }  // namespace
 
@@ -106,60 +204,7 @@ void accumulate_vlsa_batch(const spec::VlsaBatchEvaluation& ev, ErrorRateResult&
 ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
                           const RunOptions& options, EvalPath path) {
   const spec::VlcsaModel model(config);
-  const auto make_result = [] { return ErrorRateResult{}; };
-  if (path == EvalPath::kScalar) {
-    return run_sharded(options, make_result, [&] {
-      return [&model, variant = config.variant,
-              shard_source = source.clone()](arith::BlockRng& rng, ErrorRateResult& out) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlcsa(model.step(a, b), variant, out);
-      };
-    });
-  }
-  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
-  if (options.profile != nullptr) options.profile->set_lane_words(lane_words);
-  return run_sharded_blocks(options, make_result, [&, lane_words] {
-    return [&model, variant = config.variant, shard_source = source.clone(),
-            batch = arith::BitSlicedBatch(config.width, lane_words),
-            step = spec::VlcsaBatchStep{},
-            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
-                                       std::uint64_t count) mutable {
-      const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
-      std::uint64_t done = 0;
-      if (profile == nullptr) {
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          shard_source->fill_batch(rng, batch);
-          model.step_batch(batch, step);
-          accumulate_vlcsa_batch(step, variant, out);
-        }
-      } else {
-        // Profiled copy of the loop above: identical draws and folds, plus
-        // per-block fill/eval stage timing.  Kept separate so the default
-        // path pays a single branch per shard, not two clock reads per block.
-        std::uint64_t blocks = 0;
-        using ProfClock = std::chrono::steady_clock;
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          const auto fill_start = ProfClock::now();
-          shard_source->fill_batch(rng, batch);
-          const auto eval_start = ProfClock::now();
-          model.step_batch(batch, step);
-          accumulate_vlcsa_batch(step, variant, out);
-          const auto eval_end = ProfClock::now();
-          profile->add_fill_ns(elapsed_ns(fill_start, eval_start));
-          profile->add_eval_ns(elapsed_ns(eval_start, eval_end));
-          ++blocks;
-        }
-        profile->add_batch(blocks, done);
-        if (done < count) profile->add_scalar_samples(count - done);
-      }
-      // Scalar tail: same draws in the same order, so the shard's RNG stream
-      // (and therefore the merged counters) match the scalar path exactly.
-      for (; done < count; ++done) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlcsa(model.step(a, b), variant, out);
-      }
-    };
-  });
+  return run_model(VlcsaEval{&model, config.variant}, config.width, source, options, path);
 }
 
 ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source,
@@ -172,56 +217,7 @@ ErrorRateResult run_vlcsa(const spec::VlcsaConfig& config, OperandSource& source
 ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,
                          const RunOptions& options, EvalPath path) {
   const spec::VlsaModel model(config);
-  const auto make_result = [] { return ErrorRateResult{}; };
-  if (path == EvalPath::kScalar) {
-    return run_sharded(options, make_result, [&] {
-      return [&model, shard_source = source.clone()](arith::BlockRng& rng,
-                                                     ErrorRateResult& out) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlsa(model.evaluate(a, b), out);
-      };
-    });
-  }
-  const int lane_words = options.lane_words > 0 ? options.lane_words : arith::default_lane_words();
-  if (options.profile != nullptr) options.profile->set_lane_words(lane_words);
-  return run_sharded_blocks(options, make_result, [&, lane_words] {
-    return [&model, shard_source = source.clone(),
-            batch = arith::BitSlicedBatch(config.width, lane_words),
-            ev = spec::VlsaBatchEvaluation{},
-            profile = options.profile](arith::BlockRng& rng, ErrorRateResult& out,
-                                       std::uint64_t count) mutable {
-      const std::uint64_t batch_lanes = static_cast<std::uint64_t>(batch.lanes());
-      std::uint64_t done = 0;
-      if (profile == nullptr) {
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          shard_source->fill_batch(rng, batch);
-          model.evaluate_batch(batch, ev);
-          accumulate_vlsa_batch(ev, out);
-        }
-      } else {
-        // Profiled copy; see run_vlcsa for why the loop is duplicated.
-        std::uint64_t blocks = 0;
-        using ProfClock = std::chrono::steady_clock;
-        for (; done + batch_lanes <= count; done += batch_lanes) {
-          const auto fill_start = ProfClock::now();
-          shard_source->fill_batch(rng, batch);
-          const auto eval_start = ProfClock::now();
-          model.evaluate_batch(batch, ev);
-          accumulate_vlsa_batch(ev, out);
-          const auto eval_end = ProfClock::now();
-          profile->add_fill_ns(elapsed_ns(fill_start, eval_start));
-          profile->add_eval_ns(elapsed_ns(eval_start, eval_end));
-          ++blocks;
-        }
-        profile->add_batch(blocks, done);
-        if (done < count) profile->add_scalar_samples(count - done);
-      }
-      for (; done < count; ++done) {
-        const auto [a, b] = shard_source->next(rng);
-        accumulate_vlsa(model.evaluate(a, b), out);
-      }
-    };
-  });
+  return run_model(VlsaEval{&model}, config.width, source, options, path);
 }
 
 ErrorRateResult run_vlsa(const spec::VlsaConfig& config, OperandSource& source,

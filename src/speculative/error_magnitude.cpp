@@ -7,7 +7,14 @@ namespace vlcsa::spec {
 
 namespace {
 
-/// |exact - spec| over the unsigned n-bit interpretation.
+/// The (n + 1)-bit value of an n-bit sum and its carry-out.
+ApInt with_carry_out(const ApInt& sum, bool cout) {
+  ApInt wide = sum.zext(sum.width() + 1);
+  wide.set_bit(sum.width(), cout);
+  return wide;
+}
+
+/// |exact - spec| over the unsigned interpretation.
 ApInt absolute_difference(const ApInt& exact, const ApInt& spec) {
   return exact.compare_unsigned(spec) >= 0 ? exact - spec : spec - exact;
 }
@@ -36,10 +43,13 @@ ErrorMagnitudeStats measure_error_magnitude(const ScsaConfig& config,
     const auto ev = model.evaluate(a, b);
     if (ev.spec0_correct()) continue;
     ++stats.errors;
-    const ApInt diff = absolute_difference(ev.exact, ev.spec0);
+    // Both sums with their carry-outs: an n-bit exact sum that wrapped is
+    // small, and dividing by it would blow the ratio up.
+    const ApInt exact = with_carry_out(ev.exact, ev.exact_cout);
+    const ApInt diff = absolute_difference(exact, with_carry_out(ev.spec0, ev.spec0_cout));
     const int log2_mag = std::max(diff.highest_set_bit(), 0);
     stats.magnitude_log2[static_cast<std::size_t>(std::min(log2_mag, 63))] += 1;
-    const double exact_value = to_double_unsigned(ev.exact);
+    const double exact_value = to_double_unsigned(exact);
     const double relative =
         exact_value == 0.0 ? 1.0 : to_double_unsigned(diff) / exact_value;
     sum_relative += relative;

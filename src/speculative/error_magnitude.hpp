@@ -18,8 +18,8 @@ struct ErrorMagnitudeStats {
   std::uint64_t errors = 0;
   double mean_relative_error = 0.0;  // mean of |exact-spec| / |exact| over errors
   double max_relative_error = 0.0;
-  /// Histogram of floor(log2(|exact - spec| as unsigned)) over errors;
-  /// index clamps to 63.
+  /// Histogram of floor(log2(|exact - spec|)) over errors, both (n + 1)-bit
+  /// unsigned; index clamps to 63.
   std::array<std::uint64_t, 64> magnitude_log2{};
 
   [[nodiscard]] double error_rate() const {
@@ -29,8 +29,9 @@ struct ErrorMagnitudeStats {
 };
 
 /// Measures S*,0 error magnitudes over a distribution.  Relative error uses
-/// the unsigned interpretation (the paper's Ch. 3.3 convention); exact-zero
-/// results with an error count as relative error 1.
+/// the unsigned interpretation (the paper's Ch. 3.3 convention) of the
+/// (n + 1)-bit sums, carry-out included; exact-zero results with an error
+/// count as relative error 1.
 [[nodiscard]] ErrorMagnitudeStats measure_error_magnitude(const ScsaConfig& config,
                                                           arith::OperandSource& source,
                                                           std::uint64_t samples,

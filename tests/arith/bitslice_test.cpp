@@ -344,8 +344,7 @@ void expect_fill_matches_next(const OperandSource& proto, int lane_words) {
                      : name == "gaussian-unsigned"      ? std::min(width, 65)
                                                         : width;
   for (const planeops::Backend backend :
-       {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512,
-        planeops::Backend::kNeon}) {
+       {planeops::Backend::kScalar, planeops::Backend::kAvx2, planeops::Backend::kAvx512}) {
     if (!planeops::set_backend(backend)) continue;
     const auto where = [&] {
       return std::string(to_string(backend)) + " " + proto.name() + " width " +
