@@ -246,6 +246,40 @@ void BM_PlanePopcountSum(benchmark::State& state) {
 }
 BENCHMARK(BM_PlanePopcountSum)->Args({4, 0})->Args({4, 1})->Args({2048, 0})->Args({2048, 1});
 
+// The batch accumulators alone: one evaluated 512-sample batch (n = 64,
+// 8 lane words, uniform operands) folded into the error-rate counters.
+// Args: (0 = VLCSA 1 / 1 = VLSA, backend); the lane counts go through
+// popcount_sum, so the backend picks the popcount.
+void BM_AccumulateBatch(benchmark::State& state) {
+  constexpr int kWidth = 64;
+  constexpr int kLaneWords = 8;
+  const bool vlsa = state.range(0) != 0;
+  const BackendScope scope(state.range(1) != 0);
+  arith::BlockRng rng(23);
+  arith::BitSlicedBatch batch(kWidth, kLaneWords);
+  arith::UniformUnsignedSource(kWidth).fill_batch(rng, batch);
+  const spec::VlcsaModel vlcsa(spec::VlcsaConfig{
+      kWidth, spec::min_window_for_error_rate(kWidth, 1e-4), spec::ScsaVariant::kScsa1});
+  const spec::VlsaModel vlsa_model(
+      spec::VlsaConfig{kWidth, spec::vlsa_published_chain_length(kWidth)});
+  spec::VlcsaBatchStep step;
+  spec::VlsaBatchEvaluation ev;
+  vlcsa.step_batch(batch, step);
+  vlsa_model.evaluate_batch(batch, ev);
+  harness::ErrorRateResult out;
+  for (auto _ : state) {
+    if (vlsa) {
+      harness::accumulate_vlsa_batch(ev, out);
+    } else {
+      harness::accumulate_vlcsa_batch(step, spec::ScsaVariant::kScsa1, out);
+    }
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * 64 * kLaneWords);
+  state.SetLabel(to_string(planeops::active_backend()));
+}
+BENCHMARK(BM_AccumulateBatch)->Args({0, 0})->Args({0, 1})->Args({1, 0})->Args({1, 1});
+
 // ---- RNG subsystem ---------------------------------------------------------
 // The block-generating MT19937-64 vs the std engine it is sequence-identical
 // to: per-call draws, bulk generate_block, and the uniform operand fill it
@@ -289,6 +323,20 @@ void BM_RngGenerateBlock(benchmark::State& state) {
 }
 BENCHMARK(BM_RngGenerateBlock)
     ->Args({312, 0})->Args({312, 1})->Args({4096, 0})->Args({4096, 1});
+
+// One shard's seeding: make_stream_rng (the seed-sequence expansion and the
+// state fold) plus the first draw, which twists and tempers the first
+// block — the fixed cost run_sharded_blocks pays once per shard.
+void BM_RngMakeStreamRng(benchmark::State& state) {
+  std::uint64_t stream = 0;
+  for (auto _ : state) {
+    arith::BlockRng rng = arith::make_stream_rng(1, stream++);
+    benchmark::DoNotOptimize(rng());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(to_string(planeops::active_backend()));
+}
+BENCHMARK(BM_RngMakeStreamRng);
 
 // The uniform operand fill the block RNG accelerates end to end: one batch
 // of 64 * lane_words operand pairs into bit-planes.  Args: (width,
@@ -395,6 +443,8 @@ BENCHMARK(BM_StaticTiming)->Arg(64)->Arg(256);
 // (kDefaultLaneWords, startup backend) the default, and the items/sec ratio
 // between them is the SIMD layer's end-to-end delta.
 // Scalar-path args: (width) only.  `window` 0 = sized for 0.01%.
+// Each iteration is one 8192-sample shard, so it pays one shard seed
+// (make_stream_rng, BM_RngMakeStreamRng) on top of the per-sample work.
 void error_rate_samples(benchmark::State& state, arith::InputDistribution dist, int window,
                         std::uint64_t seed, harness::EvalPath path) {
   const int width = static_cast<int>(state.range(0));
@@ -434,6 +484,10 @@ BENCHMARK_CAPTURE(error_rate_samples, GaussScalar, arith::InputDistribution::kGa
                   13, 6, harness::EvalPath::kScalar)
     ->Name("BM_ErrorRateSamplesGaussScalar")->Arg(64)->Arg(512);
 
+// Default run_vlcsa at 1000 samples per iteration: one shard, so each
+// iteration pays one shard seed (BM_RngMakeStreamRng) on top of its
+// samples.  One 512-sample batch runs; the 488-sample scalar tail
+// dominates the row.
 void BM_MonteCarloVlcsa(benchmark::State& state) {
   const int width = static_cast<int>(state.range(0));
   auto source = arith::make_source(arith::InputDistribution::kUniformUnsigned, width);

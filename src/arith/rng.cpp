@@ -100,7 +100,65 @@ RngKernels active_kernels() {
   return kScalarRng;
 }
 
+// [rand.util.seedseq] generate() fixed at s = 4 input words and n = 624
+// output words: word-identical to std::seed_seq{v[0], .., v[3]}.generate()
+// over 624 words, without its heap copy of the input or its four runtime
+// `% n` per step.  t = 11 (n >= 623), p = 306, q = 317 and
+// m = max(s + 1, n) = n, so both loops run n steps and k % n is k (minus m
+// in the second).  k + p and k + q wrap by compare-and-subtract, and the
+// word at k - 1 is the previous step's r, carried in `prev`.
+constexpr std::size_t kSeedS = 4;
+constexpr std::size_t kSeedN = 2 * kN;  // 624
+constexpr std::size_t kSeedT = 11;
+constexpr std::size_t kSeedP = (kSeedN - kSeedT) / 2;
+constexpr std::size_t kSeedQ = kSeedP + kSeedT;
+
+inline std::uint32_t seed_mix(std::uint32_t x) { return x ^ (x >> 27); }
+
+void expand_seed(const std::uint32_t (&v)[kSeedS], std::uint32_t (&out)[kSeedN]) {
+  std::fill(out, out + kSeedN, 0x8b8b8b8bU);
+  std::uint32_t prev = out[kSeedN - 1];
+  std::size_t kp = kSeedP;
+  std::size_t kq = kSeedQ;
+  for (std::size_t k = 0; k < kSeedN; ++k) {
+    const std::uint32_t r1 = 1664525U * seed_mix(out[k] ^ out[kp] ^ prev);
+    const std::uint32_t r2 =
+        r1 + static_cast<std::uint32_t>(k == 0 ? kSeedS : k <= kSeedS ? k + v[k - 1] : k);
+    out[kp] += r1;
+    out[kq] += r2;
+    out[k] = r2;
+    prev = r2;
+    if (++kp == kSeedN) kp = 0;
+    if (++kq == kSeedN) kq = 0;
+  }
+  // k here is the standard's k - m; kp and kq have come round to p and q.
+  for (std::size_t k = 0; k < kSeedN; ++k) {
+    const std::uint32_t r3 = 1566083941U * seed_mix(out[k] + out[kp] + prev);
+    const std::uint32_t r4 = r3 - static_cast<std::uint32_t>(k);
+    out[kp] ^= r3;
+    out[kq] ^= r4;
+    out[k] = r4;
+    prev = r4;
+    if (++kp == kSeedN) kp = 0;
+    if (++kq == kSeedN) kq = 0;
+  }
+}
+
 }  // namespace
+
+void BlockRng::seed_words(const std::uint32_t* words) {
+  bool zero = true;
+  for (std::size_t i = 0; i < kStateWords; ++i) {
+    state_[i] = static_cast<std::uint64_t>(words[2 * i]) |
+                (static_cast<std::uint64_t>(words[2 * i + 1]) << 32);
+    if (i == 0 ? (state_[0] & kUpperMask) != 0 : state_[i] != 0) zero = false;
+  }
+  // Degenerate all-zero state (undetectable by the low r bits of word 0)
+  // would make the twist a fixed point; the standard pins it to 2^63.
+  if (zero) state_[0] = std::uint64_t{1} << 63;
+  index_ = kStateWords;
+  twists_ = 0;
+}
 
 void BlockRng::seed(result_type value) {
   state_[0] = value;
@@ -280,12 +338,16 @@ void GaussianBlockSampler::fill(BlockRng& rng, double* dst, std::size_t n) {
 
 BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream) {
   // Identical construction to the engine's historical make_shard_rng: all
-  // 128 bits of (seed, stream) feed the seed_seq, so distinct streams and
-  // distinct seeds never collide.
-  std::seed_seq sequence{
+  // 128 bits of (seed, stream) feed the seed sequence, so distinct streams
+  // and distinct seeds never collide.
+  const std::uint32_t input[kSeedS] = {
       static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
       static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)};
-  return BlockRng(sequence);
+  std::uint32_t words[kSeedN];
+  expand_seed(input, words);
+  BlockRng rng(BlockRng::Unseeded{});
+  rng.seed_words(words);
+  return rng;
 }
 
 }  // namespace vlcsa::arith

@@ -22,8 +22,9 @@
 //  * Every planeops backend produces the identical stream (rng_test pins
 //    each one to std::mt19937_64).
 //  * The engine's reproducibility contract is unchanged: make_stream_rng
-//    (and harness::make_shard_rng on top of it) feed all 128 bits of
-//    (seed, stream) through std::seed_seq exactly as before this subsystem.
+//    (and harness::make_shard_rng on top of it) expand all 128 bits of
+//    (seed, stream) word-identical to std::seed_seq, so every stream is the
+//    one std::seed_seq seeding gives.
 
 #include <cstddef>
 #include <cstdint>
@@ -70,17 +71,7 @@ class BlockRng {
   void seed(SeedSeq& seq) {
     std::uint32_t words[2 * kStateWords];
     seq.generate(words, words + 2 * kStateWords);
-    bool zero = true;
-    for (std::size_t i = 0; i < kStateWords; ++i) {
-      state_[i] = static_cast<std::uint64_t>(words[2 * i]) |
-                  (static_cast<std::uint64_t>(words[2 * i + 1]) << 32);
-      if (i == 0 ? (state_[0] & kUpperMask) != 0 : state_[i] != 0) zero = false;
-    }
-    // Degenerate all-zero state (undetectable by the low r bits of word 0)
-    // would make the twist a fixed point; the standard pins it to 2^63.
-    if (zero) state_[0] = std::uint64_t{1} << 63;
-    index_ = kStateWords;
-    twists_ = 0;
+    seed_words(words);
   }
 
   static constexpr result_type min() { return 0; }
@@ -112,7 +103,16 @@ class BlockRng {
   }
 
  private:
-  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;  // high w-r bits
+  friend BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream);
+
+  /// Left unseeded for make_stream_rng, which seeds it with seed_words().
+  struct Unseeded {};
+  explicit BlockRng(Unseeded) {}
+
+  /// The seed-sequence fold both seeding paths share: 2 * kStateWords
+  /// 32-bit words -> kStateWords state words, with the all-zero fixup
+  /// ([rand.eng.mers]).
+  void seed_words(const std::uint32_t* words);
 
   void refill();  // twist state_, temper into out_, reset index_
 
@@ -175,10 +175,11 @@ class GaussianBlockSampler {
 };
 
 /// The one shared seeding discipline for standalone (non-sharded) runs:
-/// all 128 bits of (seed, stream) through std::seed_seq — the same
-/// construction as the engine's per-shard streams, so ad-hoc `rng(seed)`
-/// call sites stop bypassing it.  harness::make_shard_rng delegates here
-/// with stream = shard index.
+/// all 128 bits of (seed, stream) expanded word-identical to std::seed_seq
+/// (a fixed-size copy of its generate() with no heap and no modulo) — the
+/// same construction as the engine's per-shard streams, so ad-hoc
+/// `rng(seed)` call sites stop bypassing it.  harness::make_shard_rng
+/// delegates here with stream = shard index.
 [[nodiscard]] BlockRng make_stream_rng(std::uint64_t seed, std::uint64_t stream = 0);
 
 }  // namespace vlcsa::arith

@@ -9,9 +9,10 @@ int resolve_threads(int requested) {
 }
 
 arith::BlockRng make_shard_rng(std::uint64_t seed, std::uint64_t shard_index) {
-  // Same seed_seq construction as always (now shared via make_stream_rng);
-  // BlockRng is sequence-identical to std::mt19937_64, so every shard stream
-  // — and therefore every merged counter — is unchanged from the std era.
+  // Same seed_seq words as always (make_stream_rng's expansion is
+  // word-identical to std::seed_seq); BlockRng is sequence-identical to
+  // std::mt19937_64, so every shard stream — and therefore every merged
+  // counter — is unchanged from the std era.
   return arith::make_stream_rng(seed, shard_index);
 }
 

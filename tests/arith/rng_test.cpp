@@ -84,21 +84,38 @@ TEST_P(RngBackendTest, SeedSeqConstructionMatchesStdEngine) {
 
 TEST_P(RngBackendTest, MakeStreamRngMatchesStdEngineUnderSameSeedSeq) {
   // make_stream_rng is the one shared seeding helper (make_shard_rng
-  // delegates to it): its stream must equal a std engine built from the
-  // identical seed_seq, for several (seed, stream) pairs including ones
-  // that exercise the high halves.
-  const std::uint64_t seeds[] = {1, 42, 0xFFFFFFFF00000001ULL};
-  const std::uint64_t streams[] = {0, 1, 7, 0x100000000ULL};
+  // delegates to it), and it expands (seed, stream) with its own copy of
+  // the seed_seq algorithm: its stream must equal a std engine built from
+  // the identical std::seed_seq.  The lists cross the edge values of both
+  // 32-bit halves; the random pairs then compare a full first block, which
+  // reads every state word (all but the 31 low bits of word 0, which
+  // MT19937-64 never uses), so any expanded word that differs shows up.
+  const auto reference = [](std::uint64_t seed, std::uint64_t stream) {
+    std::seed_seq sequence{
+        static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
+        static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)};
+    return std::mt19937_64(sequence);
+  };
+  const std::uint64_t seeds[] = {0,          1,          42,         0xFFFFFFFFULL,
+                                 1ULL << 32, 1ULL << 63, ~0ULL,      0xFFFFFFFF00000001ULL};
+  const std::uint64_t streams[] = {0, 1, 7, 0xFFFFFFFFULL, 1ULL << 32, 1ULL << 63, ~0ULL};
   for (const std::uint64_t seed : seeds) {
     for (const std::uint64_t stream : streams) {
-      std::seed_seq sequence{
-          static_cast<std::uint32_t>(seed), static_cast<std::uint32_t>(seed >> 32),
-          static_cast<std::uint32_t>(stream), static_cast<std::uint32_t>(stream >> 32)};
-      std::mt19937_64 ref(sequence);
+      std::mt19937_64 ref = reference(seed, stream);
       BlockRng rng = make_stream_rng(seed, stream);
       for (int i = 0; i < 10000; ++i) {
         ASSERT_EQ(rng(), ref()) << "seed " << seed << " stream " << stream << " draw " << i;
       }
+    }
+  }
+  std::mt19937_64 pairs(20201);
+  for (int p = 0; p < 20000; ++p) {
+    const std::uint64_t seed = pairs();
+    const std::uint64_t stream = pairs();
+    std::mt19937_64 ref = reference(seed, stream);
+    BlockRng rng = make_stream_rng(seed, stream);
+    for (std::size_t i = 0; i < BlockRng::kStateWords; ++i) {
+      ASSERT_EQ(rng(), ref()) << "seed " << seed << " stream " << stream << " draw " << i;
     }
   }
 }
